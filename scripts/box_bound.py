@@ -18,7 +18,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default="3,5,9")
     ap.add_argument("--slack", type=float, default=0.05)
-    ap.add_argument("--jobs", type=int, default=4)
     ns = ap.parse_args()
 
     fam = make_family("z2")
@@ -26,7 +25,7 @@ def main() -> None:
     for n in (int(s) for s in ns.sizes.split(",")):
         box = induced_window(fam, [(i, j) for i in range(n) for j in range(n)])
         t0 = time.time()
-        res = lemma3_check(fam, box, 4 * n, slack=ns.slack, jobs=ns.jobs)
+        res = lemma3_check(fam, box, 4 * n, slack=ns.slack)
         print(f"{n:>3} {res.lhs:>10.6f} {res.rhs:>10.6f} "
               f"{res.lhs - res.rhs:>10.6f} {str(res.holds):>6} "
               f"({time.time() - t0:.1f}s)")

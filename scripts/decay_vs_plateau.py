@@ -15,7 +15,7 @@ import time
 from hodgedim import corollary4_table, folner_profile, make_family
 
 
-def run(family_name: str, window_radii, factor: int, jobs: int) -> None:
+def run(family_name: str, window_radii, factor: int) -> None:
     fam = make_family(family_name)
     print(f"\n== {fam.name} (degree bound {fam.degree_bound}) ==")
     print(f"{'radius':>7} {'|V|':>9} {'|sigma|/|V|':>12}")
@@ -23,7 +23,7 @@ def run(family_name: str, window_radii, factor: int, jobs: int) -> None:
         print(f"{row.radius:>7} {row.n_vertices:>9} {row.ratio_v:>12.5f}")
 
     t0 = time.time()
-    table = corollary4_table(fam, fam.origin, window_radii, factor, jobs=jobs)
+    table = corollary4_table(fam, fam.origin, window_radii, factor)
     print(f"{'window':>7} {'score_r':>8} {'hd_dim':>12} {'sigma/E':>9}")
     for row in table:
         print(f"{row.window_radius:>7} {row.score_radius:>8} "
@@ -38,13 +38,12 @@ def main() -> None:
     ap.add_argument("--tree-radii", default="2,4",
                     help="window radii for the tree")
     ap.add_argument("--factor", type=int, default=4)
-    ap.add_argument("--jobs", type=int, default=4)
     ns = ap.parse_args()
 
     flat = tuple(int(r) for r in ns.flat_radii.split(","))
     tree = tuple(int(r) for r in ns.tree_radii.split(","))
-    run("z2", flat, ns.factor, ns.jobs)
-    run("tree3", tree, ns.factor, ns.jobs)
+    run("z2", flat, ns.factor)
+    run("tree3", tree, ns.factor)
     print("\nThe z2 column sinks with the boundary ratio; the tree column "
           "stays near 1/3 = 1 - 2/3.")
 

@@ -10,7 +10,8 @@ Subcommands:
 
 Output is CSV (default) or JSON (--format json, validating against
 schemas/output.schema.json). Runs are deterministic: identical flags give
-byte-identical output, independent of --jobs.
+byte-identical output. --jobs is accepted and must be >= 1, but work runs
+in a single thread whatever its value, so it never changes the output.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -23,8 +24,7 @@ import io
 import json
 import sys
 
-from .dimension import (_ordered_map, corollary4_table, folner_profile,
-                        score_report)
+from .dimension import corollary4_table, folner_profile, score_report
 from .edgespace import edge_function_from_csv
 from .errors import (CutoffExceededError, HodgedimError,
                      IncompatibleDomainError, IncompatibleRhsError,
@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10,
                        help="solver tolerance (default 1e-10)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads (output is identical for any value)")
+                       help="accepted for compatibility, must be >= 1; "
+                            "work runs in one thread and output is identical "
+                            "for any value")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="-",
                        help="output path, '-' for stdout (default)")
@@ -176,16 +178,13 @@ def _cmd_qicheck(ns):
                     f"unknown map {name!r} for family {fam.name}; "
                     f"available: {', '.join(sorted(available))}")
             chosen.append(available[name])
-    tasks = [(m, r) for m in chosen for r in radii]
-
-    def work(task):
-        m, r = task
-        q = suite_row(m, r, tol=ns.tol)
-        return (q.map_name, q.window_radius, q.k_est, q.density_gap,
-                q.wobble, q.lemma5_ratio, q.lemma5_bound, q.lemma6_ratio,
-                q.lemma6_bound)
-
-    rows = _ordered_map(work, tasks, ns.jobs)
+    rows = []
+    for m in chosen:
+        for r in radii:
+            q = suite_row(m, r, tol=ns.tol)
+            rows.append((q.map_name, q.window_radius, q.k_est, q.density_gap,
+                         q.wobble, q.lemma5_ratio, q.lemma5_bound,
+                         q.lemma6_ratio, q.lemma6_bound))
     return ("map_name", "window_radius", "k_est", "density_gap", "wobble",
             "lemma5_ratio", "lemma5_bound", "lemma6_ratio", "lemma6_bound"), rows
 

@@ -25,7 +25,6 @@ window sequences.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
@@ -146,16 +145,17 @@ class ScoreReport:
 def score_report(family: GraphFamily, e: OrientedEdge, radii: Sequence[int],
                  tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP,
                  jobs: int = 1) -> ScoreReport:
+    """Scores of one edge at each radius of an increasing schedule.
+
+    `jobs` must be >= 1; the radii run one after another whatever its value.
+    """
+    _check_jobs(jobs)
     radii = tuple(radii)
     if not radii or any(r < 1 for r in radii):
         raise InvalidWindowError("radius schedule must be nonempty, all >= 1")
     if list(radii) != sorted(radii):
         raise InvalidWindowError("radius schedule must be increasing")
-
-    def work(r):
-        return _edge_scores(family, e, r, tol, size_cap)
-
-    entries = _ordered_map(work, radii, jobs)
+    entries = [_edge_scores(family, e, r, tol, size_cap) for r in radii]
     rep = ScoreReport(
         family=family.name, edge=family_edge(family, *e).canonical(),
         radii=radii,
@@ -169,11 +169,9 @@ def score_report(family: GraphFamily, e: OrientedEdge, radii: Sequence[int],
     return rep
 
 
-def _ordered_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
 
 def window_edge_ids(window: FiniteWindow):
@@ -190,19 +188,18 @@ def dim_window(family: GraphFamily, window: FiniteWindow, space: Subspace,
     FULL needs no solve and is exactly 1: the per-edge traces of the whole
     edge space sum to the edge count. The other spaces average the radius-r
     estimator over every window edge; additivity of the three columns to 1
-    is inherited from the per-edge partition.
+    is inherited from the per-edge partition. `jobs` must be >= 1; the
+    edges run one after another whatever its value.
     """
+    _check_jobs(jobs)
     if space is Subspace.FULL:
         return 1.0
     need_star = space in (Subspace.STAR, Subspace.HD)
     need_diamond = space in (Subspace.DIAMOND, Subspace.HD)
-
-    def work(e):
-        s = _edge_scores(family, e, r, tol, size_cap,
-                         need_star=need_star, need_diamond=need_diamond)
-        return getattr(s, space.value)
-
-    scores = _ordered_map(work, window_edge_ids(window), jobs)
+    scores = [getattr(_edge_scores(family, e, r, tol, size_cap,
+                                   need_star=need_star,
+                                   need_diamond=need_diamond), space.value)
+              for e in window_edge_ids(window)]
     return math.fsum(scores) / window.n_edges
 
 

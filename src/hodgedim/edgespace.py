@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import IncompatibleDomainError, InvalidWindowError, MissingEdgeError
 from .families import VertexId, decode_vertex, encode_vertex
-from .windows import FiniteWindow, OrientedEdge, same_window
+from .windows import (FiniteWindow, OrientedEdge, adjacency_apply,
+                      same_window)
 
 
 def _as_values(window_size: int, values) -> np.ndarray:
@@ -182,10 +183,7 @@ def harmonic_residual(v: VertexFunction, interior_only: bool = True) -> float:
     """max |v(x) - average of neighbor values| with the ambient degree as
     denominator (missing neighbors count as zero)."""
     w = v.window
-    n = w.n_vertices
-    adj = (np.bincount(w.edge_tails, weights=v.values[w.edge_heads], minlength=n)
-           + np.bincount(w.edge_heads, weights=v.values[w.edge_tails], minlength=n))
-    res = np.abs(v.values - adj / w.full_degree)
+    res = np.abs(v.values - adjacency_apply(w, v.values) / w.full_degree)
     if interior_only:
         res = res[~w.boundary]
         if res.size == 0:

@@ -38,7 +38,8 @@ from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, make_family
 from .solver import LaplacianMode, project_star
-from .windows import (DEFAULT_SIZE_CAP, FiniteWindow, ball, neighborhood)
+from .windows import (DEFAULT_SIZE_CAP, FiniteWindow, ball, bfs, distance,
+                      neighborhood)
 
 
 @dataclass(frozen=True)
@@ -59,36 +60,11 @@ class QuasiMap:
 
 # -- distances and deterministic paths ---------------------------------------
 
-def _bfs_distances(family: GraphFamily, source: VertexId, depth: int,
-                   targets: Optional[Iterable[VertexId]] = None) -> dict:
-    """Distances from source out to `depth`. With `targets`, stop after the
-    first complete layer containing the last of them; layers are never cut
-    short, so every vertex at distance <= the returned maximum is present."""
-    dist = {source: 0}
-    todo = None if targets is None else set(targets) - {source}
-    frontier = [source]
-    for d in range(1, depth + 1):
-        if todo is not None and not todo:
-            break
-        nxt = []
-        for x in frontier:
-            for y in family.neighbors(x):
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-                    if todo is not None:
-                        todo.discard(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
-
-
 def lex_min_path(family: GraphFamily, a: VertexId, b: VertexId,
                  cutoff: int) -> Tuple[VertexId, ...]:
     """One deterministic shortest path from a to b: walk back from b, always
     through the smallest predecessor id."""
-    dist = _bfs_distances(family, a, cutoff, targets=(b,))
+    dist = bfs(family, [a], cutoff, targets=[b])
     if b not in dist:
         raise CutoffExceededError(f"no path within {cutoff} between {a} and {b}")
     path = [b]
@@ -121,15 +97,12 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow,
     """
     verts = window.vertices
     vert_set = frozenset(verts)
-    src_dist = {x: _bfs_distances(f.source, x, cutoff, targets=vert_set)
+    src_dist = {x: bfs(f.source, [x], cutoff, targets=vert_set)
                 for x in verts}
     images = {x: f(x) for x in verts}
     image_set = frozenset(images.values())
-    tgt_dist = {}
-    for img in image_set:
-        if img not in tgt_dist:
-            tgt_dist[img] = _bfs_distances(f.target, img, cutoff,
-                                           targets=image_set)
+    tgt_dist = {img: bfs(f.target, [img], cutoff, targets=image_set)
+                for img in image_set}
 
     kc = f.claimed_distortion
     k_needed = 1
@@ -174,29 +147,10 @@ def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
             probe.add(fa)
         else:
             probe.update(lex_min_path(f.target, fa, fb, cutoff))
-    todo = probe - image
-    if not todo:
-        return 0
-    # multi-source BFS out of the image until the probe is exhausted
-    dist = {x: 0 for x in image}
-    frontier = sorted(image)
-    gap = 0
-    for d in range(1, cutoff + 1):
-        nxt = []
-        for x in frontier:
-            for y in f.target.neighbors(x):
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-                    if y in todo:
-                        todo.discard(y)
-                        gap = d
-        if not todo:
-            return gap
-        if not nxt:
-            break
-        frontier = nxt
-    raise CutoffExceededError("density probe ran past the cutoff")
+    dist = bfs(f.target, image, cutoff, targets=probe)
+    if not probe <= dist.keys():
+        raise CutoffExceededError("density probe ran past the cutoff")
+    return max(dist[y] for y in probe)
 
 
 def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
@@ -210,8 +164,7 @@ def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
         fx = f(x)
         if fx == x:
             continue
-        dist = _bfs_distances(f.source, x, cutoff, targets=(fx,))
-        d = dist.get(fx)
+        d = distance(f.source, x, fx, cutoff)
         if d is None:
             raise CutoffExceededError(
                 f"displacement of {x} exceeds cutoff {cutoff}")
@@ -401,7 +354,7 @@ def nearest_preimage(f: QuasiMap, source_window: FiniteWindow,
         image_of.setdefault(f(x), []).append(x)
     out = {}
     for y in targets:
-        dist = _bfs_distances(f.target, y, cutoff, targets=image_of.keys())
+        dist = bfs(f.target, [y], cutoff, targets=image_of.keys())
         best = None
         for img, xs in image_of.items():
             d = dist.get(img)
@@ -464,7 +417,7 @@ class QiRow:
 def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
                  radius: int) -> VertexFunction:
     """Tent function of the distance to `center`, zero beyond `radius`."""
-    dist = _bfs_distances(family, center, radius + 1)
+    dist = bfs(family, [center], radius + 1)
     vals = np.zeros(window.n_vertices)
     for i, x in enumerate(window.vertices):
         d = dist.get(x)
@@ -498,8 +451,7 @@ def suite_row(f: QuasiMap, window_radius: int, tol: float = 1e-10,
 
     fo = f(src.origin)
     ecc = 0
-    dist_fo = _bfs_distances(f.target, fo, cutoff,
-                             targets={f(x) for x in w.vertices})
+    dist_fo = bfs(f.target, [fo], cutoff, targets={f(x) for x in w.vertices})
     for x in w.vertices:
         d = dist_fo.get(f(x))
         if d is None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .edgespace import EdgeFunction, VertexFunction, codifferential, differential, inner
 from .errors import IncompatibleRhsError, SolverFailureError
-from .windows import FiniteWindow
+from .windows import FiniteWindow, adjacency_apply
 
 
 class LaplacianMode(Enum):
@@ -56,18 +56,11 @@ def _mode_degrees(window: FiniteWindow, mode: LaplacianMode) -> np.ndarray:
     return window.internal_degree.astype(np.float64)
 
 
-def _adjacency_apply(window: FiniteWindow, x: np.ndarray) -> np.ndarray:
-    n = window.n_vertices
-    t, h = window.edge_tails, window.edge_heads
-    return (np.bincount(t, weights=x[h], minlength=n)
-            + np.bincount(h, weights=x[t], minlength=n))
-
-
 def laplacian_apply(window: FiniteWindow, v: VertexFunction,
                     mode: LaplacianMode) -> VertexFunction:
     """(D - A) v with the mode's degree matrix D."""
     deg = _mode_degrees(window, mode)
-    return VertexFunction(window, deg * v.values - _adjacency_apply(window, v.values))
+    return VertexFunction(window, deg * v.values - adjacency_apply(window, v.values))
 
 
 def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
@@ -108,7 +101,7 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     relres = float(np.linalg.norm(r)) / bnorm
     iterations = 0
     while relres > tol and iterations < max_iterations:
-        ap = deg * p - _adjacency_apply(window, p)
+        ap = deg * p - adjacency_apply(window, p)
         alpha = rz / float(np.dot(p, ap))
         x += alpha * p
         r -= alpha * ap

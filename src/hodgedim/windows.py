@@ -9,12 +9,17 @@ by construction.
 
 Construction is matrix-free friendly: edges live in two parallel numpy index
 arrays, not an adjacency matrix.
+
+This module also holds the package's graph searches: `bfs` for distance
+tables and neighborhoods, and the window walk behind `ball` and
+`induced_window`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Optional, Sequence
+from array import array
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +62,8 @@ class FiniteWindow:
             raise InvalidWindowError("window has no vertices")
         if self.edge_tails.size == 0:
             raise InvalidWindowError("window has no edges")
+        if self.full_degree.shape != (n,):
+            raise InvalidWindowError("full_degree has wrong length")
         deg = np.zeros(n, dtype=np.int64)
         np.add.at(deg, self.edge_tails, 1)
         np.add.at(deg, self.edge_heads, 1)
@@ -131,8 +138,6 @@ class FiniteWindow:
             raise InvalidWindowError("window vertices must be sorted")
         if len(set(self.vertices)) != n:
             raise InvalidWindowError("duplicate vertices in window")
-        if self.full_degree.shape != (n,):
-            raise InvalidWindowError("full_degree has wrong length")
         t, h = self.edge_tails, self.edge_heads
         if t.shape != h.shape:
             raise InvalidWindowError("edge arrays disagree in length")
@@ -170,22 +175,107 @@ def same_window(a: FiniteWindow, b: FiniteWindow) -> bool:
     return a is b or a.vertices == b.vertices
 
 
-def _window_from_vertex_list(family: GraphFamily, vertices, check: bool):
-    verts = sorted(set(vertices))
-    index = {x: i for i, x in enumerate(verts)}
-    n = len(verts)
-    tails, heads = [], []
-    full_degree = np.empty(n, dtype=np.int64)
-    for i, x in enumerate(verts):
-        nb = family.neighbors(x)
-        full_degree[i] = len(nb)
-        for y in nb:
-            j = index.get(y)
-            if j is not None and j > i:
-                tails.append(i)
-                heads.append(j)
-    w = FiniteWindow(verts, np.array(tails, dtype=np.int64),
-                     np.array(heads, dtype=np.int64), full_degree, check=check)
+def adjacency_apply(window: FiniteWindow, x: np.ndarray) -> np.ndarray:
+    """A x for the window's adjacency matrix A, from its edge arrays."""
+    n = window.n_vertices
+    t, h = window.edge_tails, window.edge_heads
+    return (np.bincount(t, weights=x[h], minlength=n)
+            + np.bincount(h, weights=x[t], minlength=n))
+
+
+def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
+        size_cap: int = DEFAULT_SIZE_CAP,
+        targets: Optional[Iterable[VertexId]] = None) -> dict:
+    """Graph distance from the source set to every vertex within `depth`.
+
+    With `targets`, stop after the first complete layer containing the last
+    of them; layers are never cut short, so every vertex at distance <= the
+    largest returned distance is present.
+    """
+    if depth < 0:
+        raise InvalidWindowError("radius must be >= 0")
+    dist = dict.fromkeys(sources, 0)
+    if len(dist) > size_cap:
+        raise SizeLimitError(f"window would exceed {size_cap} vertices")
+    todo = None if targets is None else set(targets).difference(dist)
+    neighbors = family.neighbors
+    frontier = list(dist)
+    for d in range(1, depth + 1):
+        if not frontier or (todo is not None and not todo):
+            break
+        nxt = []
+        for x in frontier:
+            for y in neighbors(x):
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+            if len(dist) > size_cap:
+                raise SizeLimitError(
+                    f"window would exceed {size_cap} vertices")
+        if todo is not None:
+            todo.difference_update(nxt)
+        frontier = nxt
+    return dist
+
+
+def _grow_window(family: GraphFamily, sources: Iterable[VertexId], radius: int,
+                 size_cap: int, check: bool) -> FiniteWindow:
+    """Window on all vertices within `radius` of the sources.
+
+    One breadth-first walk fetches every window vertex's neighbors exactly
+    once, the outer layer included (it supplies the ambient degrees and the
+    edges inside that layer, but adds no vertex). Each edge is written once,
+    from its later-discovered endpoint, as a pair of discovery indices; numpy
+    then renumbers both ends into sorted vertex order.
+    """
+    if radius < 0:
+        raise InvalidWindowError("radius must be >= 0")
+    index = {}
+    for x in sources:
+        index.setdefault(x, len(index))
+    order = list(index)
+    degree, near, far = array("q"), array("q"), array("q")
+    neighbors = family.neighbors
+    start = 0
+    for depth in range(radius + 1):
+        stop = len(order)
+        if start == stop:  # a finite family ran out of vertices
+            break
+        grow = depth < radius
+        for p in range(start, stop):
+            nb = neighbors(order[p])
+            degree.append(len(nb))
+            for y in nb:
+                q = index.get(y)
+                if q is None:
+                    if grow:
+                        index[y] = len(order)
+                        order.append(y)
+                elif q < p:
+                    near.append(q)
+                    far.append(p)
+            if len(order) > size_cap:
+                raise SizeLimitError(
+                    f"window would exceed {size_cap} vertices")
+        start = stop
+    n = len(order)
+    order.sort()
+    # discovery index of each vertex, in sorted order
+    found = np.fromiter(map(index.__getitem__, order), np.int64, n)
+    index.update(zip(order, range(n)))
+    rank = np.empty(n, dtype=np.int64)
+    rank[found] = np.arange(n)
+    a = rank[np.frombuffer(near, dtype=np.int64)]
+    b = rank[np.frombuffer(far, dtype=np.int64)]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    # free each temporary once used: on balls of 10^5 vertices and more they
+    # set the peak memory of a run
+    del a, b, rank
+    key.sort()
+    tails, heads = np.divmod(key, n)
+    del key
+    w = FiniteWindow(order, tails, heads,
+                     np.frombuffer(degree, dtype=np.int64)[found], check=check)
     w._index = index
     return w
 
@@ -196,32 +286,7 @@ def induced_window(family: GraphFamily, vertices: Iterable[VertexId]) -> FiniteW
     vertices = list(vertices)
     if not vertices:
         raise InvalidWindowError("empty vertex set")
-    return _window_from_vertex_list(family, vertices, check=True)
-
-
-def _bfs_collect(family: GraphFamily, sources: Sequence[VertexId], radius: int,
-                 size_cap: int):
-    """All vertices within graph distance `radius` of the source set."""
-    if radius < 0:
-        raise InvalidWindowError("radius must be >= 0")
-    seen = set(sources)
-    if len(seen) > size_cap:
-        raise SizeLimitError(f"window would exceed {size_cap} vertices")
-    frontier = list(seen)
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for y in family.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-            if len(seen) > size_cap:
-                raise SizeLimitError(
-                    f"window would exceed {size_cap} vertices")
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+    return _grow_window(family, vertices, 0, len(vertices), check=True)
 
 
 def ball(family: GraphFamily, center, radius: int,
@@ -236,39 +301,19 @@ def ball(family: GraphFamily, center, radius: int,
         sources = [center]
     else:
         sources = list(center)
-    seen = _bfs_collect(family, sources, radius, size_cap)
-    return _window_from_vertex_list(family, seen, check=False)
+    return _grow_window(family, sources, radius, size_cap, check=False)
 
 
 def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId],
                  k: int, size_cap: int = DEFAULT_SIZE_CAP):
     """C_k(A): sorted tuple of vertices within distance k of the set A."""
-    sources = list(vertex_set)
-    if not sources:
-        return ()
-    return tuple(sorted(_bfs_collect(family, sources, k, size_cap)))
+    return tuple(sorted(bfs(family, vertex_set, k, size_cap)))
 
 
 def distance(family: GraphFamily, x: VertexId, y: VertexId,
              cutoff: int) -> Optional[int]:
     """Graph distance, or None once the search passes `cutoff`."""
-    if x == y:
-        return 0
-    seen = {x}
-    frontier = [x]
-    for depth in range(1, cutoff + 1):
-        nxt = []
-        for a in frontier:
-            for b in family.neighbors(a):
-                if b == y:
-                    return depth
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
+    return bfs(family, [x], cutoff, targets=[y]).get(y)
 
 
 def sigma(window: FiniteWindow):
@@ -306,14 +351,20 @@ def window_from_json(text: str) -> FiniteWindow:
     try:
         payload = json.loads(text)
         vertices = [tuple(int(c) for c in v) for v in payload["vertices"]]
+        n = len(vertices)
         edges = payload["edges"]
-        full_degree = payload["full_degree"]
+        for e in edges:
+            # bool is an int subclass, and a float would be truncated
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(type(c) is int and 0 <= c < n for c in e)):
+                raise ValueError(f"edge {e!r} is not a pair of vertex indices")
+        tails = np.array([e[0] for e in edges], dtype=np.int64)
+        heads = np.array([e[1] for e in edges], dtype=np.int64)
+        full_degree = np.asarray(payload["full_degree"], dtype=np.int64)
         sigma_idx = set(int(i) for i in payload.get("sigma", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidWindowError(f"malformed window JSON: {exc}") from exc
-    tails = np.array([e[0] for e in edges], dtype=np.int64)
-    heads = np.array([e[1] for e in edges], dtype=np.int64)
-    w = FiniteWindow(vertices, tails, heads, np.asarray(full_degree))
+    w = FiniteWindow(vertices, tails, heads, full_degree)
     if set(w.sigma_indices().tolist()) != sigma_idx:
         raise InvalidWindowError("sigma indices disagree with degrees")
     return w

@@ -151,6 +151,22 @@ def test_decompose_missing_file(tmp_path, capsys):
     assert "configuration error" in err
 
 
+def test_decompose_malformed_window(tmp_path, capsys):
+    w = ball(make_family("z2"), (0, 0), 2)
+    blob = json.loads(window_to_json(w))
+    blob["edges"][0] = [1]
+    wpath = tmp_path / "window.json"
+    epath = tmp_path / "edges.csv"
+    wpath.write_text(json.dumps(blob))
+    epath.write_text("tail,head,value\n")
+    code, out, err = run_cli(capsys, "decompose", "--window", str(wpath),
+                             "--edges", str(epath))
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "scores.csv"
     code, out, _ = run_cli(capsys, "scores", "--family", "z1", "--radii", "1",

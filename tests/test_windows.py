@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgedim import (InvalidWindowError, MissingEdgeError, OrientedEdge,
-                      SizeLimitError, ball, distance, family_edge,
+                      SizeLimitError, ball, distance, edge_ball, family_edge,
                       induced_window, make_family, neighborhood, origin_edge,
                       same_window, sigma, window_from_json, window_to_json)
 
@@ -42,10 +45,48 @@ def test_edgeless_window_rejected(z2):
         ball(z2, (0, 0), 0)
 
 
-def test_ball_around_vertex_set_matches_neighborhood(z2):
-    seeds = [(0, 0), (3, 1)]
-    a = ball(z2, seeds, 2)
-    assert set(a.vertices) == set(neighborhood(z2, seeds, 2))
+def test_ball_around_vertex_set_matches_neighborhood():
+    # ball grows its window at radius r; induced_window takes the bfs
+    # neighborhood at radius 0: both paths must give the same arrays
+    for name, seeds in [("z2", [(0, 0), (3, 1)]), ("tree3", [(), (0, 1, 1)]),
+                        ("comb", [(0, 0), (2, 3)]),
+                        ("diag_lattice", [(0, 0), (3, 1)])]:
+        fam = make_family(name)
+        for r in (2, 3, 4):
+            a = ball(fam, seeds, r)
+            b = induced_window(fam, neighborhood(fam, seeds, r))
+            assert a.vertices == b.vertices
+            for field in ("edge_tails", "edge_heads", "full_degree"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def _counted(fam):
+    calls = []
+
+    def neighbors(x):
+        calls.append(x)
+        return fam.neighbors(x)
+    return dataclasses.replace(fam, neighbors=neighbors), calls
+
+
+@pytest.mark.parametrize("name, r", [("z2", 6), ("tree3", 8), ("comb", 5)])
+def test_one_neighbor_call_per_window_vertex(name, r):
+    base = make_family(name)
+    e = origin_edge(base)
+    fam, calls = _counted(base)
+    w = ball(fam, fam.origin, r)
+    assert len(calls) == w.n_vertices
+    assert sorted(calls) == list(w.vertices)
+
+    calls.clear()
+    w = edge_ball(fam, e, r)
+    assert len(calls) == w.n_vertices
+
+
+def test_one_neighbor_call_per_induced_vertex(z2):
+    fam, calls = _counted(z2)
+    w = induced_window(fam, [(i, j) for i in range(5) for j in range(4)])
+    assert len(calls) == w.n_vertices == 20
 
 
 def test_vertices_sorted_and_edges_canonical(z2):
@@ -131,10 +172,30 @@ def test_json_roundtrip(z2):
 
 
 def test_json_rejects_tampered_sigma(z2):
-    import json
-
     blob = json.loads(window_to_json(ball(z2, (0, 0), 2)))
     blob["sigma"] = blob["sigma"][:-1]
+    with pytest.raises(InvalidWindowError):
+        window_from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("edges", None),
+    ("first edge", [1]),
+    ("first edge", [0, 1, 2]),
+    ("first edge", [0.5, 2]),
+    ("first edge", [True, 1]),
+    ("first edge", [0, 999]),
+    ("first edge", [-1, 0]),
+    ("first edge", {"0": 1}),
+    ("full_degree", [4, 4]),
+    ("full_degree", None),
+])
+def test_json_rejects_malformed_fields(z2, key, value):
+    blob = json.loads(window_to_json(ball(z2, (0, 0), 2)))
+    if key == "first edge":
+        blob["edges"][0] = value
+    else:
+        blob[key] = value
     with pytest.raises(InvalidWindowError):
         window_from_json(json.dumps(blob))
 
