@@ -24,7 +24,7 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, EdgeFunction, ball,
                       edge_function_to_csv, make_family, window_to_json)
 from hodgedim.cli import main as cli_main
 
-COR4_FAMILIES = ("z2", "comb", "tree3")
+COR4_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
 QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
 
 

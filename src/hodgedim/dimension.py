@@ -188,18 +188,27 @@ def dim_window(family: GraphFamily, window: FiniteWindow, space: Subspace,
     FULL needs no solve and is exactly 1: the per-edge traces of the whole
     edge space sum to the edge count. The other spaces average the radius-r
     estimator over every window edge; additivity of the three columns to 1
-    is inherited from the per-edge partition. `jobs` must be >= 1; the
-    edges run one after another whatever its value.
+    is inherited from the per-edge partition. One score is computed per
+    translation orbit (`GraphFamily.translation_axes`) and reused, bit for
+    bit, for every edge in it. `jobs` must be >= 1; the edges run one after
+    another whatever its value.
     """
     _check_jobs(jobs)
     if space is Subspace.FULL:
         return 1.0
     need_star = space in (Subspace.STAR, Subspace.HD)
     need_diamond = space in (Subspace.DIAMOND, Subspace.HD)
-    scores = [getattr(_edge_scores(family, e, r, tol, size_cap,
-                                   need_star=need_star,
-                                   need_diamond=need_diamond), space.value)
-              for e in window_edge_ids(window)]
+    axes = family.translation_axes
+    by_orbit = {}
+    scores = []
+    for e in window_edge_ids(window):
+        # the edge shifted so its tail is 0 on the translation axes
+        key = tuple(tuple(a - b for a, b in zip(x, e.tail[:axes])) + x[axes:]
+                    for x in e)
+        if key not in by_orbit:
+            by_orbit[key] = getattr(_edge_scores(
+                family, e, r, tol, size_cap, need_star, need_diamond), space.value)
+        scores.append(by_orbit[key])
     return math.fsum(scores) / window.n_edges
 
 
@@ -267,7 +276,9 @@ def corollary4_table(family: GraphFamily, center: VertexId,
 
     score_radius = factor * window_radius keeps the estimator honest as the
     windows grow; on boundary-negligible families the hd column must sink
-    toward 0, bounded by the sigma_over_e column in the limit.
+    toward 0, bounded by the sigma_over_e column in the limit. Each row
+    solves one edge ball per translation orbit of its window's edges (see
+    `dim_window`): two on z2, however large the window.
     """
     if score_radius_factor < 1:
         raise InvalidWindowError("score radius factor must be >= 1")

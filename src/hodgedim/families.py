@@ -35,12 +35,17 @@ class GraphFamily:
     neighbors(x) returns the sorted tuple of neighbors of x. Sortedness is
     part of the contract: deterministic iteration order makes every breadth
     first search in the package reproducible.
+
+    translation_axes = k declares neighbors(x + v) == neighbors(x) + v for
+    every integer v supported on the first k coordinates (0: none). Such a
+    shift keeps the vertex order, so translated windows have equal arrays.
     """
 
     name: str
     origin: VertexId
     degree_bound: int
     neighbors: Callable[[VertexId], Tuple[VertexId, ...]] = field(repr=False)
+    translation_axes: int = 0
 
     def degree(self, x: VertexId) -> int:
         return len(self.neighbors(x))
@@ -111,7 +116,7 @@ def make_family(name: str, d: int | None = None) -> GraphFamily:
         if d is None or d < 1:
             raise InvalidFamilyError("lattice needs a dimension d >= 1")
         return GraphFamily(name=f"z{d}", origin=(0,) * d, degree_bound=2 * d,
-                           neighbors=_lattice_neighbors(d))
+                           neighbors=_lattice_neighbors(d), translation_axes=d)
     if name == "tree":
         if d is None or d < 3:
             raise InvalidFamilyError("tree needs a branching degree d >= 3")
@@ -121,13 +126,13 @@ def make_family(name: str, d: int | None = None) -> GraphFamily:
         raise InvalidFamilyError(f"family {name!r} takes no degree parameter")
     if name == "ladder":
         return GraphFamily(name="ladder", origin=(0, 0), degree_bound=3,
-                           neighbors=_ladder_neighbors)
+                           neighbors=_ladder_neighbors, translation_axes=1)
     if name == "comb":
         return GraphFamily(name="comb", origin=(0, 0), degree_bound=4,
-                           neighbors=_comb_neighbors)
+                           neighbors=_comb_neighbors, translation_axes=1)
     if name in ("diag_lattice", "diag"):
         return GraphFamily(name="diag_lattice", origin=(0, 0), degree_bound=6,
-                           neighbors=_diag_neighbors)
+                           neighbors=_diag_neighbors, translation_axes=2)
     raise InvalidFamilyError(f"unknown family {name!r}")
 
 

@@ -347,22 +347,29 @@ def window_to_json(window: FiniteWindow) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _int_list(value, what: str) -> list:
+    # bool is an int subclass; int() would truncate a float or parse a string
+    if not (isinstance(value, list) and all(type(c) is int for c in value)):
+        raise ValueError(f"{what} {value!r} is not a list of integers")
+    return value
+
+
 def window_from_json(text: str) -> FiniteWindow:
     try:
         payload = json.loads(text)
-        vertices = [tuple(int(c) for c in v) for v in payload["vertices"]]
+        vertices = [tuple(_int_list(v, "vertex")) for v in payload["vertices"]]
         n = len(vertices)
         edges = payload["edges"]
         for e in edges:
-            # bool is an int subclass, and a float would be truncated
+            # checked inline: this loop is the hot part of loading a window
             if not (isinstance(e, list) and len(e) == 2
                     and all(type(c) is int and 0 <= c < n for c in e)):
                 raise ValueError(f"edge {e!r} is not a pair of vertex indices")
         tails = np.array([e[0] for e in edges], dtype=np.int64)
         heads = np.array([e[1] for e in edges], dtype=np.int64)
-        full_degree = np.asarray(payload["full_degree"], dtype=np.int64)
-        sigma_idx = set(int(i) for i in payload.get("sigma", []))
-    except (KeyError, TypeError, ValueError) as exc:
+        full_degree = np.array(_int_list(payload["full_degree"], "degrees"), np.int64)
+        sigma_idx = set(_int_list(payload.get("sigma", []), "sigma"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidWindowError(f"malformed window JSON: {exc}") from exc
     w = FiniteWindow(vertices, tails, heads, full_degree)
     if set(w.sigma_indices().tolist()) != sigma_idx:

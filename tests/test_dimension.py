@@ -10,17 +10,19 @@ The two exactly solvable families:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from hodgedim import (Subspace, ball, corollary4_table, diamond_score,
-                      dim_window, edge_ball, family_from_window, family_edge,
-                      folner_profile, hd_score, induced_window, lemma3_check,
-                      make_family, origin_edge, score_report, sigma,
-                      star_score, window_edge_ids)
+from hodgedim import (BUILTIN_FAMILY_NAMES, Subspace, ball, corollary4_table,
+                      diamond_score, dim_window, edge_ball, family_from_window,
+                      family_edge, folner_profile, hd_score, induced_window,
+                      lemma3_check, make_family, origin_edge, score_report,
+                      sigma, star_score, window_edge_ids)
+from hodgedim import dimension
 from conftest import dense_star_projection
 
 
@@ -152,6 +154,72 @@ def test_dim_window_jobs_identical(z2):
     a = dim_window(z2, w, Subspace.HD, 2, jobs=1)
     b = dim_window(z2, w, Subspace.HD, 2, jobs=4)
     assert a == b
+
+
+TRANSLATED = [n for n in BUILTIN_FAMILY_NAMES
+              if make_family(n).translation_axes > 0]
+# an off-origin centre with negative coordinates for each of them
+OFF_ORIGIN = {"z1": (-3,), "z2": (-3, -2), "z3": (-2, -1, -1),
+              "ladder": (-3, 1), "comb": (-3, -1), "diag_lattice": (-3, -2)}
+
+
+@pytest.mark.parametrize("name", TRANSLATED)
+def test_dim_window_orbit_reuse_is_bitwise(name):
+    """Reusing one score per translation orbit changes no bit of the
+    average: compare with every edge scored on its own ball."""
+    fam = make_family(name)
+    r = 3
+    for center, radius in ((fam.origin, 2), (OFF_ORIGIN[name], 1)):
+        w = ball(fam, center, radius)
+        each = [dimension._edge_scores(fam, e, r)
+                for e in window_edge_ids(w)]
+        for space in (Subspace.STAR, Subspace.DIAMOND, Subspace.HD):
+            expect = math.fsum(getattr(s, space.value) for s in each)
+            assert dim_window(fam, w, space, r) == expect / w.n_edges
+
+
+def _count_edge_scores(monkeypatch):
+    calls = []
+    inner = dimension._edge_scores
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(dimension, "_edge_scores", counted)
+    return calls
+
+
+def _shifted(e, axes):
+    return tuple(tuple(a - b for a, b in zip(x, e.tail[:axes])) + x[axes:]
+                 for x in e)
+
+
+def test_z2_window_solves_two_edge_types(monkeypatch, z2):
+    calls = _count_edge_scores(monkeypatch)
+    dim_window(z2, ball(z2, (0, 0), 4), Subspace.HD, 2)
+    assert calls == [((-4, 0), (-3, 0)), ((-3, -1), (-3, 0))]
+
+
+@pytest.mark.parametrize("name, keys", [("ladder", 3), ("comb", 9)])
+def test_one_edge_score_per_orbit(monkeypatch, name, keys):
+    fam = make_family(name)
+    w = ball(fam, (-2, 0), 4)
+    calls = _count_edge_scores(monkeypatch)
+    dim_window(fam, w, Subspace.HD, 2)
+    # ladder: both rails and the rungs; comb: the spine, and the tooth
+    # edges with their lower end at each height -4..3
+    assert len({_shifted(e, 1) for e in window_edge_ids(w)}) == keys
+    assert len(calls) == keys
+    assert len({_shifted(e, 1) for e in calls}) == keys
+
+
+def test_no_orbit_reuse_without_translations(monkeypatch, tree3):
+    wrapped = family_from_window(ball(make_family("z2"), (0, 0), 2))
+    for family, window in ((tree3, ball(tree3, (), 3)),
+                           (wrapped, ball(wrapped, (0, 0), 1))):
+        calls = _count_edge_scores(monkeypatch)
+        dim_window(family, window, Subspace.STAR, 2)
+        assert calls == window_edge_ids(window)
 
 
 def test_triangle_diamond_third():

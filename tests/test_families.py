@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgedim import (BUILTIN_FAMILY_NAMES, InvalidFamilyError, decode_vertex,
-                      encode_vertex, make_family)
+from hodgedim import (BUILTIN_FAMILY_NAMES, InvalidFamilyError, ball,
+                      decode_vertex, encode_vertex, family_from_window,
+                      make_family)
 
 
 def degrees_ok(family, verts):
@@ -111,6 +112,35 @@ def test_comb_symmetry_everywhere(x):
     fam = make_family("comb")
     symmetric_on(fam, [x])
     degrees_ok(fam, [x])
+
+
+def test_declared_translation_axes():
+    declared = {name: make_family(name).translation_axes
+                for name in BUILTIN_FAMILY_NAMES}
+    assert declared == {"z1": 1, "z2": 2, "z3": 3, "tree3": 0, "tree4": 0,
+                        "ladder": 1, "comb": 1, "diag_lattice": 2}
+    assert make_family("tree", 5).translation_axes == 0
+    window = ball(make_family("z2"), (0, 0), 2)
+    assert family_from_window(window).translation_axes == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(BUILTIN_FAMILY_NAMES),
+       st.lists(st.integers(0, 5), max_size=12),
+       st.tuples(coords, coords, coords))
+def test_declared_translations_are_automorphisms(name, walk, shift):
+    """neighbors(x + v) == neighbors(x) + v for every v supported on the
+    declared axes, at vertices x reached by a walk from the origin."""
+    fam = make_family(name)
+    x = fam.origin
+    for step in walk:
+        nbrs = fam.neighbors(x)
+        x = nbrs[step % len(nbrs)]
+    k = fam.translation_axes
+
+    def move(y):
+        return tuple(a + b for a, b in zip(y[:k], shift)) + y[k:]
+    assert fam.neighbors(move(x)) == tuple(move(y) for y in fam.neighbors(x))
 
 
 @settings(deadline=None, max_examples=30)

@@ -189,11 +189,25 @@ def test_json_rejects_tampered_sigma(z2):
     ("first edge", {"0": 1}),
     ("full_degree", [4, 4]),
     ("full_degree", None),
+    # except degree True, each of these used to load, truncated or parsed by
+    # int(), as the window's own first vertex (-2, 0), degree 4 or sigma 0
+    ("first vertex", [-2.7, 0.2]),
+    ("first vertex", [-2, False]),
+    ("first vertex", ["-2", "0"]),
+    ("first degree", 4.9),
+    ("first degree", True),
+    ("first degree", "4"),
+    ("first sigma", 0.0),
+    ("first sigma", False),
+    ("first sigma", "0"),
+    ("first degree", 2 ** 70),  # past int64: used to escape as OverflowError
 ])
 def test_json_rejects_malformed_fields(z2, key, value):
     blob = json.loads(window_to_json(ball(z2, (0, 0), 2)))
-    if key == "first edge":
-        blob["edges"][0] = value
+    first = {"first edge": "edges", "first vertex": "vertices",
+             "first degree": "full_degree", "first sigma": "sigma"}
+    if key in first:
+        blob[first[key]][0] = value
     else:
         blob[key] = value
     with pytest.raises(InvalidWindowError):
