@@ -25,6 +25,8 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, EdgeFunction, ball,
 from hodgedim.cli import main as cli_main
 
 COR4_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
+# deep tree balls, of 10^4 to 10^5 vertices at the largest radii
+DEEP_TREE_RADII = {"tree3": 14, "tree4": 9}
 QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
 
 
@@ -33,6 +35,11 @@ def scenarios(tmp: Path):
     for fam in BUILTIN_FAMILY_NAMES:
         yield f"scores {fam}", ["scores", "--family", fam, "--radii", "1..8"]
         yield f"folner {fam}", ["folner", "--family", fam, "--radii", "1..10"]
+    for fam, r in DEEP_TREE_RADII.items():
+        yield f"scores {fam} deep", ["scores", "--family", fam,
+                                     "--radii", f"1..{r}"]
+        yield f"folner {fam} deep", ["folner", "--family", fam,
+                                     "--radii", f"1..{r}"]
     for fam in COR4_FAMILIES:
         yield f"cor4 {fam}", ["cor4", "--family", fam, "--window-radii",
                               "1,2,3", "--factor", "4"]

@@ -39,6 +39,12 @@ class GraphFamily:
     translation_axes = k declares neighbors(x + v) == neighbors(x) + v for
     every integer v supported on the first k coordinates (0: none). Such a
     shift keeps the vertex order, so translated windows have equal arrays.
+
+    tree_degree = d declares that `neighbors` is the d-regular tree rule of
+    `make_family("tree", d)` (0: it is not). Window building then skips
+    `neighbors` and works on integer keys that sort like the words (see
+    `windows._tree_window`).
+    Both fields are plain data, which `dataclasses.replace` carries over.
     """
 
     name: str
@@ -46,6 +52,7 @@ class GraphFamily:
     degree_bound: int
     neighbors: Callable[[VertexId], Tuple[VertexId, ...]] = field(repr=False)
     translation_axes: int = 0
+    tree_degree: int = 0
 
     def degree(self, x: VertexId) -> int:
         return len(self.neighbors(x))
@@ -121,7 +128,7 @@ def make_family(name: str, d: int | None = None) -> GraphFamily:
         if d is None or d < 3:
             raise InvalidFamilyError("tree needs a branching degree d >= 3")
         return GraphFamily(name=f"tree{d}", origin=(), degree_bound=d,
-                           neighbors=_tree_neighbors(d))
+                           neighbors=_tree_neighbors(d), tree_degree=d)
     if d is not None:
         raise InvalidFamilyError(f"family {name!r} takes no degree parameter")
     if name == "ladder":

@@ -11,14 +11,16 @@ Construction is matrix-free friendly: edges live in two parallel numpy index
 arrays, not an adjacency matrix.
 
 This module also holds the package's graph searches: `bfs` for distance
-tables and neighborhoods, and the window walk behind `ball` and
-`induced_window`.
+tables and neighborhoods, and the window builder behind `ball` and
+`induced_window` (a walk over vertex tuples, and an array kernel on integer
+word keys for trees).
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -105,13 +107,24 @@ class FiniteWindow:
     def sigma_indices(self) -> np.ndarray:
         return np.nonzero(self.boundary)[0]
 
-    def edge_lookup(self, e: OrientedEdge):
+    def bisect_index(self, x: VertexId) -> Optional[int]:
+        """Index of x by bisecting the sorted vertices, or None. For one-off
+        lookups: it builds no index dict, which on a ball of 10^5 vertices
+        costs more memory than the ball's arrays."""
+        i = bisect_left(self.vertices, x)
+        return i if i < self.n_vertices and self.vertices[i] == x else None
+
+    def edge_lookup(self, e: OrientedEdge, locate=None):
         """Return (edge position, sign) for an oriented edge of the window.
 
-        sign is +1 when e is canonically oriented, -1 otherwise.
+        sign is +1 when e is canonically oriented, -1 otherwise. Endpoints
+        are found with `locate` (vertex -> index or None), by default the
+        `index` dict; pass `bisect_index` for a single lookup.
         """
-        i = self.index.get(e.tail)
-        j = self.index.get(e.head)
+        if locate is None:
+            locate = self.index.get
+        i = locate(e.tail)
+        j = locate(e.head)
         if i is None or j is None:
             raise MissingEdgeError(f"edge {e} has an endpoint outside the window")
         sign = 1
@@ -152,23 +165,24 @@ class FiniteWindow:
             raise InvalidWindowError("window is not connected")
 
     def _connected(self) -> bool:
-        n = self.n_vertices
-        nbr_heads = [[] for _ in range(n)]
-        for a, b in zip(self.edge_tails.tolist(), self.edge_heads.tolist()):
-            nbr_heads[a].append(b)
-            nbr_heads[b].append(a)
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            a = stack.pop()
-            for b in nbr_heads[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    count += 1
-                    stack.append(b)
-        return count == n
+        # Each round hooks every root onto the smallest root across its
+        # edges, then jumps pointers until every vertex points at its root.
+        # Unlike a BFS, the rounds do not follow the diameter: a path whose
+        # vertices are in order takes one.
+        t, h = self.edge_tails, self.edge_heads
+        root = np.arange(self.n_vertices)
+        while True:
+            rt, rh = root[t], root[h]
+            split = rt != rh
+            if not split.any():
+                return bool(np.all(root == root[0]))
+            rt, rh = rt[split], rh[split]
+            np.minimum.at(root, np.maximum(rt, rh), np.minimum(rt, rh))
+            while True:
+                up = root[root]
+                if np.array_equal(up, root):
+                    break
+                root = up
 
 
 def same_window(a: FiniteWindow, b: FiniteWindow) -> bool:
@@ -218,18 +232,27 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     return dist
 
 
-def _grow_window(family: GraphFamily, sources: Iterable[VertexId], radius: int,
+def _grow_window(family: GraphFamily, sources: list, radius: int,
                  size_cap: int, check: bool) -> FiniteWindow:
     """Window on all vertices within `radius` of the sources.
 
-    One breadth-first walk fetches every window vertex's neighbors exactly
+    A family with `tree_degree` goes through `_tree_window`, which calls no
+    `neighbors`: it encodes each word as an int64 key whose digits are the
+    word's letters shifted up by one, padded with zeros, so that sorting
+    keys sorts the words as tuples. Every other family, and a tree whose
+    words do not fit in int64 keys, takes the tuple walk below: one
+    breadth-first walk fetches every window vertex's neighbors exactly
     once, the outer layer included (it supplies the ambient degrees and the
     edges inside that layer, but adds no vertex). Each edge is written once,
-    from its later-discovered endpoint, as a pair of discovery indices; numpy
-    then renumbers both ends into sorted vertex order.
+    from its later-discovered endpoint, as a pair of discovery indices;
+    numpy then renumbers both ends into sorted vertex order.
     """
     if radius < 0:
         raise InvalidWindowError("radius must be >= 0")
+    if family.tree_degree:
+        w = _tree_window(family.tree_degree, sources, radius, size_cap, check)
+        if w is not None:
+            return w
     index = {}
     for x in sources:
         index.setdefault(x, len(index))
@@ -280,6 +303,119 @@ def _grow_window(family: GraphFamily, sources: Iterable[VertexId], radius: int,
     return w
 
 
+def _tree_window(d: int, sources: list, radius: int, size_cap: int,
+                 check: bool) -> Optional[FiniteWindow]:
+    """`_grow_window` on the d-regular tree, in integer arrays.
+
+    A word (a1, ..., aL) of at most W letters is the key whose base-(d+1)
+    digits, most significant first, are a1+1, ..., aL+1 followed by W-L
+    zeros. Letters become nonzero digits and padding is 0, so comparing two
+    keys compares the words letter by letter, and a word sorts before its
+    extensions: integer order is Python's tuple order, and the sorted keys
+    list the window's vertices in the order `FiniteWindow` needs. The parent
+    of a word zeroes its last digit; its children set the next one.
+
+    The walk expands one whole layer at a time. A neighbor of a vertex at
+    distance t lies at distance t-1, t or t+1, so only the previous layer
+    and the current one are checked for repeats. Edges are the (parent,
+    child) pairs with both keys present, found with one `searchsorted`.
+
+    Returns None when a source is not a word of the tree or when W, the
+    longest source word plus the radius, makes keys too large for int64;
+    the caller then walks tuples. Keys never wrap.
+    """
+    if not all(type(x) is tuple and all(type(a) is int for a in x)
+               and (not x or 0 <= x[0] < d)
+               and all(0 <= a < d - 1 for a in x[1:]) for x in sources):
+        return None
+    base = d + 1
+    width = max(map(len, sources), default=0) + radius
+    if base ** width >= 2 ** 63:
+        return None
+    # unit[L]: place value of the L-th letter (unit[0] only stands in for
+    # the root, whose digit below is 0)
+    unit = base ** np.arange(width, -1, -1, dtype=np.int64)
+    frontier, first = np.unique(
+        np.array([_encode_word(x, base, width) for x in sources], np.int64),
+        return_index=True)
+    depth = np.array([len(x) for x in sources], np.int64)[first]
+    layers, lengths = [frontier], [depth]
+    previous = frontier[:0]
+    n = frontier.size
+    letters = np.arange(1, d, dtype=np.int64)
+    for _ in range(radius):
+        if n > size_cap:
+            break
+        inner = depth > 0
+        k, length = frontier[inner], depth[inner]
+        u = unit[length]
+        parents = k - k // u % base * u
+        children = (k[:, None] + letters * unit[length + 1][:, None]).ravel()
+        found = [parents, children]
+        found_len = [length - 1, np.repeat(length + 1, d - 1)]
+        if not inner.all():  # the root, whose children take all d letters
+            found.append(np.arange(1, d + 1, dtype=np.int64) * unit[1])
+            found_len.append(np.ones(d, dtype=np.int64))
+        cand, first = np.unique(np.concatenate(found), return_index=True)
+        cand_len = np.concatenate(found_len)[first]
+        # layers are disjoint and unique, as np.unique made `cand`
+        new = ~np.isin(cand, np.concatenate([previous, frontier]),
+                       assume_unique=True)
+        previous, frontier, depth = frontier, cand[new], cand_len[new]
+        layers.append(frontier)
+        lengths.append(depth)
+        n += frontier.size
+    if n > size_cap:
+        raise SizeLimitError(f"window would exceed {size_cap} vertices")
+    del previous, frontier, depth
+    keys = np.concatenate(layers)
+    step = keys.argsort()
+    keys = keys[step]
+    length = np.concatenate(lengths)[step]
+    del layers, lengths, step
+    u = unit[length]
+    digit = keys // u % base
+    up = keys - digit * u
+    del u
+    # a parent key is never larger than its child's, so `parent` is in range
+    parent = np.searchsorted(keys, up)
+    parent[(length == 0) | (keys[parent] != up)] = -1
+    del up
+    heads = np.flatnonzero(parent >= 0)
+    tails = parent[heads]
+    # heads ascend, so a stable sort by tail orders edges by (tail, head)
+    step = tails.argsort(kind="stable")
+    tails, heads = tails[step], heads[step]
+    del step
+    # Tuples are built in sorted order, each from its parent's tuple (built
+    # before it) and its last letter. A vertex whose parent is outside the
+    # window (the root, the top of each component) is decoded from its key.
+    tops = {i: _decode_word(int(keys[i]), base, width)
+            for i in np.flatnonzero(parent < 0).tolist()}
+    del keys, length
+    vertices = []
+    for up, a in zip(parent.tolist(), (digit - 1).tolist()):
+        vertices.append(vertices[up] + (a,) if up >= 0 else tops[len(vertices)])
+    del parent, digit
+    return FiniteWindow(vertices, tails, heads,
+                        np.full(n, d, dtype=np.int64), check=check)
+
+
+def _encode_word(x: VertexId, base: int, width: int) -> int:
+    key = 0
+    for a in x:
+        key = key * base + a + 1
+    return key * base ** (width - len(x))
+
+
+def _decode_word(key: int, base: int, width: int) -> VertexId:
+    digits = []
+    for _ in range(width):
+        key, c = divmod(key, base)
+        digits.append(c)
+    return tuple(c - 1 for c in reversed(digits) if c)
+
+
 def induced_window(family: GraphFamily, vertices: Iterable[VertexId]) -> FiniteWindow:
     """Induced subgraph on a vertex set; must come out connected with >= 1
     edge."""
@@ -294,14 +430,28 @@ def ball(family: GraphFamily, center, radius: int,
     """Window on all vertices within `radius` of `center`.
 
     `center` may be a single vertex id or an iterable of them (a ball around
-    an edge is the ball around its endpoint pair). Balls are connected by
-    construction, so the connectivity recheck is skipped on the hot path.
+    an edge is the ball around its endpoint pair). A ball around one vertex
+    or the two ends of an edge is connected by construction and skips the
+    connectivity check; around other sources it can fall apart, and then
+    raises InvalidWindowError as `induced_window` does.
     """
     if isinstance(center, tuple) and all(isinstance(c, int) for c in center):
         sources = [center]
     else:
         sources = list(center)
-    return _grow_window(family, sources, radius, size_cap, check=False)
+    w = _grow_window(family, sources, radius, size_cap, check=False)
+    if (len(sources) > 2 or len(sources) == 2 and not _is_edge(w, *sources)) \
+            and not w._connected():
+        raise InvalidWindowError("window is not connected")
+    return w
+
+
+def _is_edge(window: FiniteWindow, x: VertexId, y: VertexId) -> bool:
+    try:
+        window.edge_lookup(OrientedEdge(x, y), window.bisect_index)
+    except MissingEdgeError:
+        return False
+    return True
 
 
 def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId],

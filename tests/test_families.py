@@ -124,6 +124,16 @@ def test_declared_translation_axes():
     assert family_from_window(window).translation_axes == 0
 
 
+def test_declared_tree_degree():
+    declared = {name: make_family(name).tree_degree
+                for name in BUILTIN_FAMILY_NAMES}
+    assert declared == {"z1": 0, "z2": 0, "z3": 0, "tree3": 3, "tree4": 4,
+                        "ladder": 0, "comb": 0, "diag_lattice": 0}
+    assert make_family("tree", 5).tree_degree == 5
+    window = ball(make_family("tree3"), (), 2)
+    assert family_from_window(window).tree_degree == 0
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.sampled_from(BUILTIN_FAMILY_NAMES),
        st.lists(st.integers(0, 5), max_size=12),

@@ -5,12 +5,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hodgedim import (InvalidWindowError, MissingEdgeError, OrientedEdge,
-                      SizeLimitError, ball, distance, edge_ball, family_edge,
-                      induced_window, make_family, neighborhood, origin_edge,
-                      same_window, sigma, window_from_json, window_to_json)
+from hodgedim import (FiniteWindow, InvalidWindowError, MissingEdgeError,
+                      OrientedEdge, SizeLimitError, ball, distance, edge_ball,
+                      family_edge, induced_window, make_family, neighborhood,
+                      origin_edge, same_window, sigma, window_from_json,
+                      window_to_json)
 
 
 def test_z1_ball_counts(z1):
@@ -45,19 +46,32 @@ def test_edgeless_window_rejected(z2):
         ball(z2, (0, 0), 0)
 
 
+def _arrays_or_error(build, *args):
+    """A window's arrays, or the InvalidWindowError it raised."""
+    try:
+        w = build(*args)
+    except InvalidWindowError as exc:
+        return str(exc)
+    return (w.vertices, w.edge_tails.tolist(), w.edge_heads.tolist(),
+            w.full_degree.tolist())
+
+
 def test_ball_around_vertex_set_matches_neighborhood():
     # ball grows its window at radius r; induced_window takes the bfs
-    # neighborhood at radius 0: both paths must give the same arrays
+    # neighborhood at radius 0: both paths must give the same arrays, or
+    # both raise (at r=1 the two balls around z2's and comb's seeds do not
+    # touch)
     for name, seeds in [("z2", [(0, 0), (3, 1)]), ("tree3", [(), (0, 1, 1)]),
                         ("comb", [(0, 0), (2, 3)]),
                         ("diag_lattice", [(0, 0), (3, 1)])]:
         fam = make_family(name)
-        for r in (2, 3, 4):
-            a = ball(fam, seeds, r)
-            b = induced_window(fam, neighborhood(fam, seeds, r))
-            assert a.vertices == b.vertices
-            for field in ("edge_tails", "edge_heads", "full_degree"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
+        for r in (1, 2, 3, 4):
+            a = _arrays_or_error(ball, fam, seeds, r)
+            b = _arrays_or_error(induced_window, fam,
+                                 neighborhood(fam, seeds, r))
+            assert a == b
+            if r == 1 and name in ("z2", "comb"):
+                assert a == "window is not connected"
 
 
 def _counted(fam):
@@ -69,9 +83,14 @@ def _counted(fam):
     return dataclasses.replace(fam, neighbors=neighbors), calls
 
 
+def _tuple_walk(fam):
+    """The family without its tree declaration: windows walk tuples."""
+    return dataclasses.replace(fam, tree_degree=0)
+
+
 @pytest.mark.parametrize("name, r", [("z2", 6), ("tree3", 8), ("comb", 5)])
 def test_one_neighbor_call_per_window_vertex(name, r):
-    base = make_family(name)
+    base = _tuple_walk(make_family(name))
     e = origin_edge(base)
     fam, calls = _counted(base)
     w = ball(fam, fam.origin, r)
@@ -81,6 +100,51 @@ def test_one_neighbor_call_per_window_vertex(name, r):
     calls.clear()
     w = edge_ball(fam, e, r)
     assert len(calls) == w.n_vertices
+
+
+@pytest.mark.parametrize("name", ["tree3", "tree4"])
+def test_tree_windows_call_no_neighbors(name):
+    base = make_family(name)
+    e = origin_edge(base)
+    fam, calls = _counted(base)
+    assert ball(fam, fam.origin, 8).n_vertices > 700
+    assert edge_ball(fam, e, 8).n_vertices > 1000
+    assert induced_window(fam, [(), (0,), (0, 1), (1,)]).n_edges == 3
+    assert calls == []
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_tree_kernel_matches_tuple_walk(data):
+    d = data.draw(st.sampled_from([3, 4, 5]))
+    fam = make_family("tree", d)
+    # a random walk from a random word, some of them deep
+    x = tuple(data.draw(st.integers(0, d - 1 if i == 0 else d - 2))
+              for i in range(data.draw(st.integers(0, 15))))
+    seen = [x]
+    for step in data.draw(st.lists(st.integers(0, d - 1), max_size=10)):
+        x = fam.neighbors(x)[step]
+        seen.append(x)
+    sources = list(dict.fromkeys(seen))
+    r = data.draw(st.integers(0, 6))
+    assert (_arrays_or_error(ball, fam, sources, r)
+            == _arrays_or_error(ball, _tuple_walk(fam), sources, r))
+    assert (_arrays_or_error(induced_window, fam, sources)
+            == _arrays_or_error(induced_window, _tuple_walk(fam), sources))
+
+
+@pytest.mark.parametrize("d, longest", [(3, 31), (4, 27)])
+def test_tree_keys_never_wrap(d, longest):
+    # keys hold `longest` letters in int64; one more falls back to the walk
+    fam, calls = _counted(make_family("tree", d))
+    deep = (1,) + (0,) * (longest - 3)
+    for r, walked in ((2, False), (3, True)):
+        calls.clear()
+        got = _arrays_or_error(ball, fam, deep, r)
+        assert bool(calls) == walked
+        assert got == _arrays_or_error(ball, _tuple_walk(fam), deep, r)
+    with pytest.raises(SizeLimitError):
+        ball(make_family("tree3"), (), 25)
 
 
 def test_one_neighbor_call_per_induced_vertex(z2):
@@ -141,6 +205,29 @@ def test_origin_edge_is_canonical(z2, tree3):
 def test_induced_window_requires_connectivity(z2):
     with pytest.raises(InvalidWindowError):
         induced_window(z2, [(0, 0), (5, 5)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1)), min_size=1))))
+def test_connected_matches_dfs(graph):
+    n, pairs = graph
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    assume(edges)
+    nbrs = {i: set() for i in range(n)}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for b in nbrs[stack.pop()] - seen:
+            seen.add(b)
+            stack.append(b)
+    tails, heads = zip(*edges)
+    w = FiniteWindow([(i,) for i in range(n)], tails, heads,
+                     [len(nbrs[i]) for i in range(n)], check=False)
+    assert w._connected() == (len(seen) == n)
 
 
 def test_induced_window_box(z2):
