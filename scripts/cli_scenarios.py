@@ -4,12 +4,9 @@
 Runs each scenario through `hodgedim.cli.main` in process, writing to a
 temporary `--out` file, and prints one `sha256  scenario` line per run. The
 hash covers the exit code and the output bytes. hodgedim is imported from
-wherever `PYTHONPATH` points, so two source trees can be compared:
-
-    diff <(PYTHONPATH=../other/src python scripts/cli_scenarios.py) \\
-         <(PYTHONPATH=src python scripts/cli_scenarios.py)
-
-No output means every reported value is byte-identical.
+wherever `PYTHONPATH` points, so two source trees can be compared;
+`scripts/same_bytes.sh REF` does that for a git revision and the working
+tree. No diff means every reported value is byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +40,8 @@ def scenarios(tmp: Path):
     for fam in COR4_FAMILIES:
         yield f"cor4 {fam}", ["cor4", "--family", fam, "--window-radii",
                               "1,2,3", "--factor", "4"]
+    yield "cor4 tree4", ["cor4", "--family", "tree4", "--window-radii", "1,2",
+                         "--factor", "4"]
     for fam in QI_FAMILIES:
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]

@@ -33,8 +33,7 @@ from .edgespace import edge_indicator
 from .errors import InvalidWindowError, SolverFailureError
 from .families import GraphFamily, VertexId
 from .solver import LaplacianMode, cycle_rank, project_star
-from .windows import (DEFAULT_SIZE_CAP, FiniteWindow, OrientedEdge, ball,
-                      family_edge, sigma)
+from .windows import FiniteWindow, OrientedEdge, ball, family_edge, sigma
 
 
 class Subspace(Enum):
@@ -44,8 +43,7 @@ class Subspace(Enum):
     FULL = "full"
 
 
-def edge_ball(family: GraphFamily, e: OrientedEdge, r: int,
-              size_cap: int = DEFAULT_SIZE_CAP) -> FiniteWindow:
+def edge_ball(family: GraphFamily, e: OrientedEdge, r: int) -> FiniteWindow:
     """Radius-r neighborhood of the edge (both endpoints are centers).
 
     Centering on the endpoint pair rather than the tail alone makes every
@@ -54,7 +52,7 @@ def edge_ball(family: GraphFamily, e: OrientedEdge, r: int,
     """
     if r < 1:
         raise InvalidWindowError("score radius must be >= 1")
-    return ball(family, (e.tail, e.head), r, size_cap=size_cap)
+    return ball(family, (e.tail, e.head), r)
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,10 @@ class EdgeScores:
 
 
 def _edge_scores(family: GraphFamily, e: OrientedEdge, r: int,
-                 tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP,
-                 need_star: bool = True, need_diamond: bool = True) -> EdgeScores:
+                 tol: float = 1e-10, need_star: bool = True,
+                 need_diamond: bool = True) -> EdgeScores:
     e = family_edge(family, *e).canonical()
-    window = edge_ball(family, e, r, size_cap=size_cap)
+    window = edge_ball(family, e, r)
     u = edge_indicator(window, e)
     star = 0.0
     iters = 0
@@ -93,18 +91,18 @@ def _edge_scores(family: GraphFamily, e: OrientedEdge, r: int,
 
 
 def star_score(family: GraphFamily, e: OrientedEdge, r: int,
-               tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP) -> float:
-    return _edge_scores(family, e, r, tol, size_cap, need_diamond=False).star
+               tol: float = 1e-10) -> float:
+    return _edge_scores(family, e, r, tol, need_diamond=False).star
 
 
 def diamond_score(family: GraphFamily, e: OrientedEdge, r: int,
-                  tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP) -> float:
-    return _edge_scores(family, e, r, tol, size_cap, need_star=False).diamond
+                  tol: float = 1e-10) -> float:
+    return _edge_scores(family, e, r, tol, need_star=False).diamond
 
 
 def hd_score(family: GraphFamily, e: OrientedEdge, r: int,
-             tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP) -> float:
-    return _edge_scores(family, e, r, tol, size_cap).hd
+             tol: float = 1e-10) -> float:
+    return _edge_scores(family, e, r, tol).hd
 
 
 @dataclass(frozen=True)
@@ -143,19 +141,14 @@ class ScoreReport:
 
 
 def score_report(family: GraphFamily, e: OrientedEdge, radii: Sequence[int],
-                 tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP,
-                 jobs: int = 1) -> ScoreReport:
+                 tol: float = 1e-10, jobs: int = 1) -> ScoreReport:
     """Scores of one edge at each radius of an increasing schedule.
 
     `jobs` must be >= 1; the radii run one after another whatever its value.
     """
     _check_jobs(jobs)
-    radii = tuple(radii)
-    if not radii or any(r < 1 for r in radii):
-        raise InvalidWindowError("radius schedule must be nonempty, all >= 1")
-    if list(radii) != sorted(radii):
-        raise InvalidWindowError("radius schedule must be increasing")
-    entries = [_edge_scores(family, e, r, tol, size_cap) for r in radii]
+    radii = _radius_schedule(radii)
+    entries = [_edge_scores(family, e, r, tol) for r in radii]
     rep = ScoreReport(
         family=family.name, edge=family_edge(family, *e).canonical(),
         radii=radii,
@@ -174,6 +167,16 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError("jobs must be >= 1")
 
 
+def _radius_schedule(radii: Sequence[int]) -> Tuple[int, ...]:
+    """The radii as a tuple, checked to be nonempty, all >= 1 and increasing."""
+    radii = tuple(radii)
+    if not radii or any(r < 1 for r in radii):
+        raise InvalidWindowError("radius schedule must be nonempty, all >= 1")
+    if list(radii) != sorted(radii):
+        raise InvalidWindowError("radius schedule must be increasing")
+    return radii
+
+
 def window_edge_ids(window: FiniteWindow):
     verts = window.vertices
     return [OrientedEdge(verts[a], verts[b]) for a, b in
@@ -181,17 +184,17 @@ def window_edge_ids(window: FiniteWindow):
 
 
 def dim_window(family: GraphFamily, window: FiniteWindow, space: Subspace,
-               r: int, tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP,
-               jobs: int = 1) -> float:
+               r: int, tol: float = 1e-10, jobs: int = 1) -> float:
     """Average per-edge score over the window's edges.
 
     FULL needs no solve and is exactly 1: the per-edge traces of the whole
     edge space sum to the edge count. The other spaces average the radius-r
     estimator over every window edge; additivity of the three columns to 1
     is inherited from the per-edge partition. One score is computed per
-    translation orbit (`GraphFamily.translation_axes`) and reused, bit for
-    bit, for every edge in it. `jobs` must be >= 1; the edges run one after
-    another whatever its value.
+    translation orbit (`GraphFamily.translation_axes`), or once for all the
+    edges of a tree (`GraphFamily.tree_degree`), whose automorphisms act
+    transitively on its edges, and reused bit for bit. `jobs` must be >= 1;
+    the edges run one after another whatever its value.
     """
     _check_jobs(jobs)
     if space is Subspace.FULL:
@@ -202,12 +205,16 @@ def dim_window(family: GraphFamily, window: FiniteWindow, space: Subspace,
     by_orbit = {}
     scores = []
     for e in window_edge_ids(window):
-        # the edge shifted so its tail is 0 on the translation axes
-        key = tuple(tuple(a - b for a, b in zip(x, e.tail[:axes])) + x[axes:]
-                    for x in e)
+        if family.tree_degree:
+            family_edge(family, *e)  # a foreign window may hold non-edges
+            key = ()
+        else:
+            # the edge shifted so its tail is 0 on the translation axes
+            key = tuple(tuple(a - b for a, b in zip(x, e.tail[:axes]))
+                        + x[axes:] for x in e)
         if key not in by_orbit:
             by_orbit[key] = getattr(_edge_scores(
-                family, e, r, tol, size_cap, need_star, need_diamond), space.value)
+                family, e, r, tol, need_star, need_diamond), space.value)
         scores.append(by_orbit[key])
     return math.fsum(scores) / window.n_edges
 
@@ -223,13 +230,12 @@ class FolnerRow:
 
 
 def folner_profile(family: GraphFamily, center: VertexId,
-                   radii: Sequence[int],
-                   size_cap: int = DEFAULT_SIZE_CAP):
+                   radii: Sequence[int]):
     """Boundary-to-bulk ratios of balls; the certificate of amenability is
     ratio_v tending to 0 along some window sequence."""
     rows = []
     for r in radii:
-        w = ball(family, center, r, size_cap=size_cap)
+        w = ball(family, center, r)
         s = int(w.boundary.sum())
         rows.append(FolnerRow(radius=r, n_vertices=w.n_vertices,
                               n_edges=w.n_edges, sigma_size=s,
@@ -247,15 +253,15 @@ class Lemma3Result:
 
 def lemma3_check(family: GraphFamily, window: FiniteWindow, r: int,
                  tol: float = 1e-10, slack: float = 0.05,
-                 size_cap: int = DEFAULT_SIZE_CAP, jobs: int = 1) -> Lemma3Result:
+                 jobs: int = 1) -> Lemma3Result:
     """Check dim(star) + dim(diamond) >= 1 - |sigma| / |E| on a window.
 
     The left side uses radius-r estimators, which approach the true trace
     from below; `slack` absorbs that finite-radius truncation, so `holds`
     means the bound is verified up to slack at this radius.
     """
-    lhs = (dim_window(family, window, Subspace.STAR, r, tol, size_cap, jobs)
-           + dim_window(family, window, Subspace.DIAMOND, r, tol, size_cap, jobs))
+    lhs = (dim_window(family, window, Subspace.STAR, r, tol, jobs)
+           + dim_window(family, window, Subspace.DIAMOND, r, tol, jobs))
     rhs = 1.0 - len(sigma(window)) / window.n_edges
     return Lemma3Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack)
 
@@ -270,15 +276,14 @@ class Cor4Row:
 
 def corollary4_table(family: GraphFamily, center: VertexId,
                      window_radii: Sequence[int], score_radius_factor: int,
-                     tol: float = 1e-10, size_cap: int = DEFAULT_SIZE_CAP,
-                     jobs: int = 1):
+                     tol: float = 1e-10, jobs: int = 1):
     """hd dimension estimates along a growing ball sequence.
 
     score_radius = factor * window_radius keeps the estimator honest as the
     windows grow; on boundary-negligible families the hd column must sink
     toward 0, bounded by the sigma_over_e column in the limit. Each row
     solves one edge ball per translation orbit of its window's edges (see
-    `dim_window`): two on z2, however large the window.
+    `dim_window`): two on z2 and one on a tree, however large the window.
     """
     if score_radius_factor < 1:
         raise InvalidWindowError("score radius factor must be >= 1")
@@ -286,9 +291,9 @@ def corollary4_table(family: GraphFamily, center: VertexId,
     for wr in window_radii:
         if wr < 1:
             raise InvalidWindowError("window radii must be >= 1")
-        w = ball(family, center, wr, size_cap=size_cap)
+        w = ball(family, center, wr)
         r = score_radius_factor * wr
-        est = dim_window(family, w, Subspace.HD, r, tol, size_cap, jobs)
+        est = dim_window(family, w, Subspace.HD, r, tol, jobs)
         rows.append(Cor4Row(window_radius=wr, score_radius=r,
                             hd_dim_estimate=est,
                             sigma_over_e=len(sigma(w)) / w.n_edges))

@@ -35,64 +35,50 @@ def _as_values(window_size: int, values) -> np.ndarray:
     return arr
 
 
-class VertexFunction:
+class _WindowFunction:
+    """Values on a window with the pointwise algebra. A subclass names its
+    kind and its value count, `n_vertices` or `n_edges` of the window."""
+
     def __init__(self, window: FiniteWindow, values):
         self.window = window
-        self.values = _as_values(window.n_vertices, values)
+        self.values = _as_values(getattr(window, self._count), values)
 
-    def at(self, x: VertexId) -> float:
-        return float(self.values[self.window.vertex_index(x)])
-
-    def _check(self, other: "VertexFunction"):
+    def _check(self, other):
         if not same_window(self.window, other.window):
-            raise IncompatibleDomainError("vertex functions on different windows")
+            raise IncompatibleDomainError(
+                f"{self._kind} functions on different windows")
 
     def __add__(self, other):
         self._check(other)
-        return VertexFunction(self.window, self.values + other.values)
+        return type(self)(self.window, self.values + other.values)
 
     def __sub__(self, other):
         self._check(other)
-        return VertexFunction(self.window, self.values - other.values)
+        return type(self)(self.window, self.values - other.values)
 
     def __mul__(self, scalar):
-        return VertexFunction(self.window, self.values * float(scalar))
+        return type(self)(self.window, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return VertexFunction(self.window, -self.values)
+        return type(self)(self.window, -self.values)
 
 
-class EdgeFunction:
-    def __init__(self, window: FiniteWindow, values):
-        self.window = window
-        self.values = _as_values(window.n_edges, values)
+class VertexFunction(_WindowFunction):
+    _kind, _count = "vertex", "n_vertices"
+
+    def at(self, x: VertexId) -> float:
+        return float(self.values[self.window.vertex_index(x)])
+
+
+class EdgeFunction(_WindowFunction):
+    _kind, _count = "edge", "n_edges"
 
     def at(self, e: OrientedEdge) -> float:
         """Value on an oriented edge; antisymmetric in the orientation."""
         k, sign = self.window.edge_lookup(e)
         return sign * float(self.values[k])
-
-    def _check(self, other: "EdgeFunction"):
-        if not same_window(self.window, other.window):
-            raise IncompatibleDomainError("edge functions on different windows")
-
-    def __add__(self, other):
-        self._check(other)
-        return EdgeFunction(self.window, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return EdgeFunction(self.window, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return EdgeFunction(self.window, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return EdgeFunction(self.window, -self.values)
 
 
 # -- calculus ---------------------------------------------------------------
@@ -113,7 +99,8 @@ def codifferential(u: EdgeFunction) -> VertexFunction:
 
 
 def inner(u: EdgeFunction, w: EdgeFunction) -> float:
-    """Half-weighted inner product over oriented edges (see module docstring).
+    """Half-weighted inner product over oriented edges (see module docstring);
+    as `vertex_inner`, the plain sum over vertices.
 
     Compensated: the pointwise products are summed with math.fsum.
     """
@@ -121,9 +108,7 @@ def inner(u: EdgeFunction, w: EdgeFunction) -> float:
     return math.fsum((u.values * w.values).tolist())
 
 
-def vertex_inner(f: VertexFunction, g: VertexFunction) -> float:
-    f._check(g)
-    return math.fsum((f.values * g.values).tolist())
+vertex_inner = inner
 
 
 def energy(v: VertexFunction) -> float:
@@ -163,13 +148,8 @@ def mask_edges(u: EdgeFunction, mask: np.ndarray) -> EdgeFunction:
 
 def flow_residual(u: EdgeFunction, interior_only: bool = True) -> float:
     """max |d* u| over the checked vertices."""
-    w = u.window
-    res = np.abs(codifferential(u).values)
-    if interior_only:
-        res = res[~w.boundary]
-        if res.size == 0:
-            return 0.0
-    return float(res.max())
+    return _max_checked(u.window, np.abs(codifferential(u).values),
+                        interior_only)
 
 
 def is_flow(u: EdgeFunction, tol: float = 1e-10,
@@ -187,6 +167,11 @@ def harmonic_residual(v: VertexFunction, interior_only: bool = True) -> float:
     denominator (missing neighbors count as zero)."""
     w = v.window
     res = np.abs(v.values - adjacency_apply(w, v.values) / w.full_degree)
+    return _max_checked(w, res, interior_only)
+
+
+def _max_checked(w: FiniteWindow, res: np.ndarray, interior_only: bool) -> float:
+    """max of `res` over the checked vertices (0.0 if there are none)."""
     if interior_only:
         res = res[~w.boundary]
         if res.size == 0:

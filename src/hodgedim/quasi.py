@@ -32,14 +32,14 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dimension import _radius_schedule
 from .edgespace import (EdgeFunction, VertexFunction, chi, differential,
                         inner, support_vertices, transfer_edge_function)
 from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, make_family
 from .solver import LaplacianMode, project_star
-from .windows import (DEFAULT_SIZE_CAP, FiniteWindow, ball, bfs, distance,
-                      neighborhood)
+from .windows import FiniteWindow, ball, bfs, distance, neighborhood
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,7 @@ class Lemma5Result:
 
 
 def lemma5_check(f: QuasiMap, v: VertexFunction, source_window: FiniteWindow,
-                 a: Optional[Iterable[VertexId]] = None,
-                 size_cap: int = DEFAULT_SIZE_CAP) -> Lemma5Result:
+                 a: Optional[Iterable[VertexId]] = None) -> Lemma5Result:
     """Compare |d(f* v) . chi_A| against |dv . chi_B|, B = C_k(f(A)).
 
     v must live on a target window containing C_k of the full image of the
@@ -250,7 +249,7 @@ def lemma5_check(f: QuasiMap, v: VertexFunction, source_window: FiniteWindow,
                 raise IncompatibleDomainError(
                     f"localization vertex {x} is outside the source window")
     image_a = {f(x) for x in a_verts}
-    b = neighborhood(f.target, sorted(image_a), k, size_cap=size_cap)
+    b = neighborhood(f.target, sorted(image_a), k)
     for y in b:
         if not tw.has_vertex(y):
             raise InsufficientWindowError(
@@ -282,8 +281,7 @@ class Lemma6Result:
 
 
 def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
-                 cutoff: int = 64,
-                 size_cap: int = DEFAULT_SIZE_CAP) -> Lemma6Result:
+                 cutoff: int = 64) -> Lemma6Result:
     """Check |f* v - v|^2 <= K(s, D) * energy(v) over a window.
 
     v must be defined on an enlargement of the window by the displacement
@@ -291,7 +289,7 @@ def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
     outside the window itself.
     """
     s = wobbling_displacement(f, window, cutoff=cutoff)
-    needed = neighborhood(f.source, window.vertices, s, size_cap=size_cap)
+    needed = neighborhood(f.source, window.vertices, s)
     tw = v.window
     for y in needed:
         if not tw.has_vertex(y):
@@ -315,8 +313,7 @@ def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
 # -- membership residuals -----------------------------------------------------
 
 def star_membership_residual(family: GraphFamily, u: EdgeFunction,
-                             radii: Sequence[int], tol: float = 1e-10,
-                             size_cap: int = DEFAULT_SIZE_CAP):
+                             radii: Sequence[int], tol: float = 1e-10):
     """Distance from u to the compactly-supported gradient space, along a
     growing ball schedule around the support of u.
 
@@ -325,18 +322,14 @@ def star_membership_residual(family: GraphFamily, u: EdgeFunction,
     to 0 exactly for members of the closed gradient space, and to the
     distance otherwise (a unit square circulation keeps residual |u| = 2).
     """
-    radii = tuple(radii)
-    if not radii or any(r < 1 for r in radii):
-        raise InvalidWindowError("radius schedule must be nonempty, all >= 1")
-    if list(radii) != sorted(radii):
-        raise InvalidWindowError("radius schedule must be increasing")
+    radii = _radius_schedule(radii)
     supp = support_vertices(u)
     norm_sq = inner(u, u)
     if not supp:
         return [(r, 0.0) for r in radii]
     out = []
     for r in radii:
-        w = ball(family, supp, r, size_cap=size_cap)
+        w = ball(family, supp, r)
         ur = transfer_edge_function(u, w)
         sp = project_star(w, ur, LaplacianMode.EMBEDDED, tol=tol)
         out.append((r, math.sqrt(max(0.0, norm_sq - sp.score))))
@@ -426,8 +419,7 @@ def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
     return VertexFunction(window, vals)
 
 
-def suite_row(f: QuasiMap, window_radius: int, tol: float = 1e-10,
-              size_cap: int = DEFAULT_SIZE_CAP) -> QiRow:
+def suite_row(f: QuasiMap, window_radius: int, tol: float = 1e-10) -> QiRow:
     """Run the full check battery for one built-in map at one window radius.
 
     The Dirichlet test function is a radial tent centered at the image of the
@@ -438,7 +430,7 @@ def suite_row(f: QuasiMap, window_radius: int, tol: float = 1e-10,
     if r < 1:
         raise InvalidWindowError("window radius must be >= 1")
     src = f.source
-    w = ball(src, src.origin, r, size_cap=size_cap)
+    w = ball(src, src.origin, r)
     k = math.ceil(f.claimed_distortion)
     cutoff = 2 * k * (r + 2) + 4
 
@@ -459,12 +451,12 @@ def suite_row(f: QuasiMap, window_radius: int, tol: float = 1e-10,
         ecc = max(ecc, d)
     margin = max(wobble, 0)
     t_radius = max(ecc + k, r + 2 * margin) + 2
-    tw = ball(f.target, fo, t_radius, size_cap=size_cap)
+    tw = ball(f.target, fo, t_radius)
     v = _radial_bump(f.target, tw, fo, max(1, r - 2))
 
-    l5 = lemma5_check(f, v, w, a=None, size_cap=size_cap)
+    l5 = lemma5_check(f, v, w, a=None)
     if f.is_endomap:
-        l6 = lemma6_check(f, v, w, cutoff=cutoff, size_cap=size_cap)
+        l6 = lemma6_check(f, v, w, cutoff=cutoff)
         l6_ratio, l6_bound = l6.ratio, l6.bound
     else:
         l6_ratio, l6_bound = -1.0, -1.0

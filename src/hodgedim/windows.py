@@ -28,7 +28,13 @@ import numpy as np
 from .errors import (InvalidWindowError, MissingEdgeError, SizeLimitError)
 from .families import GraphFamily, VertexId
 
+# Most vertices a window may hold; read at each check, so tests can lower it.
 DEFAULT_SIZE_CAP = 2_000_000
+
+
+def _check_size(n: int) -> None:
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeLimitError(f"window would exceed {DEFAULT_SIZE_CAP} vertices")
 
 
 class OrientedEdge(NamedTuple):
@@ -198,19 +204,18 @@ def adjacency_apply(window: FiniteWindow, x: np.ndarray) -> np.ndarray:
 
 
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
-        size_cap: int = DEFAULT_SIZE_CAP,
         targets: Optional[Iterable[VertexId]] = None) -> dict:
     """Graph distance from the source set to every vertex within `depth`.
 
     With `targets`, stop after the first complete layer containing the last
     of them; layers are never cut short, so every vertex at distance <= the
-    largest returned distance is present.
+    largest returned distance is present. Raises SizeLimitError once the
+    table passes `DEFAULT_SIZE_CAP` vertices.
     """
     if depth < 0:
         raise InvalidWindowError("radius must be >= 0")
     dist = dict.fromkeys(sources, 0)
-    if len(dist) > size_cap:
-        raise SizeLimitError(f"window would exceed {size_cap} vertices")
+    _check_size(len(dist))
     todo = None if targets is None else set(targets).difference(dist)
     neighbors = family.neighbors
     frontier = list(dist)
@@ -223,9 +228,7 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
                 if y not in dist:
                     dist[y] = d
                     nxt.append(y)
-            if len(dist) > size_cap:
-                raise SizeLimitError(
-                    f"window would exceed {size_cap} vertices")
+            _check_size(len(dist))
         if todo is not None:
             todo.difference_update(nxt)
         frontier = nxt
@@ -233,7 +236,7 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
 
 
 def _grow_window(family: GraphFamily, sources: list, radius: int,
-                 size_cap: int, check: bool) -> FiniteWindow:
+                 check: bool) -> FiniteWindow:
     """Window on all vertices within `radius` of the sources.
 
     A family with `tree_degree` goes through `_tree_window`, which calls no
@@ -250,7 +253,7 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     if radius < 0:
         raise InvalidWindowError("radius must be >= 0")
     if family.tree_degree:
-        w = _tree_window(family.tree_degree, sources, radius, size_cap, check)
+        w = _tree_window(family.tree_degree, sources, radius, check)
         if w is not None:
             return w
     index = {}
@@ -277,15 +280,13 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
                 elif q < p:
                     near.append(q)
                     far.append(p)
-            if len(order) > size_cap:
-                raise SizeLimitError(
-                    f"window would exceed {size_cap} vertices")
+            _check_size(len(order))
         start = stop
     n = len(order)
     order.sort()
     # discovery index of each vertex, in sorted order
     found = np.fromiter(map(index.__getitem__, order), np.int64, n)
-    index.update(zip(order, range(n)))
+    del index
     rank = np.empty(n, dtype=np.int64)
     rank[found] = np.arange(n)
     a = rank[np.frombuffer(near, dtype=np.int64)]
@@ -297,13 +298,11 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     key.sort()
     tails, heads = np.divmod(key, n)
     del key
-    w = FiniteWindow(order, tails, heads,
-                     np.frombuffer(degree, dtype=np.int64)[found], check=check)
-    w._index = index
-    return w
+    return FiniteWindow(order, tails, heads,
+                        np.frombuffer(degree, dtype=np.int64)[found], check=check)
 
 
-def _tree_window(d: int, sources: list, radius: int, size_cap: int,
+def _tree_window(d: int, sources: list, radius: int,
                  check: bool) -> Optional[FiniteWindow]:
     """`_grow_window` on the d-regular tree, in integer arrays.
 
@@ -320,14 +319,15 @@ def _tree_window(d: int, sources: list, radius: int, size_cap: int,
     and the current one are checked for repeats. Edges are the (parent,
     child) pairs with both keys present, found with one `searchsorted`.
 
-    Returns None when a source is not a word of the tree or when W, the
-    longest source word plus the radius, makes keys too large for int64;
-    the caller then walks tuples. Keys never wrap.
+    Raises InvalidWindowError for a source that is not a word of the tree.
+    Returns None when W, the longest source word plus the radius, makes keys
+    too large for int64; the caller then walks tuples. Keys never wrap.
     """
-    if not all(type(x) is tuple and all(type(a) is int for a in x)
-               and (not x or 0 <= x[0] < d)
-               and all(0 <= a < d - 1 for a in x[1:]) for x in sources):
-        return None
+    for x in sources:
+        if not (type(x) is tuple and all(type(a) is int for a in x)
+                and (not x or 0 <= x[0] < d)
+                and all(0 <= a < d - 1 for a in x[1:])):
+            raise InvalidWindowError(f"{x} is not a vertex of tree{d}")
     base = d + 1
     width = max(map(len, sources), default=0) + radius
     if base ** width >= 2 ** 63:
@@ -344,8 +344,7 @@ def _tree_window(d: int, sources: list, radius: int, size_cap: int,
     n = frontier.size
     letters = np.arange(1, d, dtype=np.int64)
     for _ in range(radius):
-        if n > size_cap:
-            break
+        _check_size(n)
         inner = depth > 0
         k, length = frontier[inner], depth[inner]
         u = unit[length]
@@ -365,8 +364,7 @@ def _tree_window(d: int, sources: list, radius: int, size_cap: int,
         layers.append(frontier)
         lengths.append(depth)
         n += frontier.size
-    if n > size_cap:
-        raise SizeLimitError(f"window would exceed {size_cap} vertices")
+    _check_size(n)
     del previous, frontier, depth
     keys = np.concatenate(layers)
     step = keys.argsort()
@@ -422,24 +420,24 @@ def induced_window(family: GraphFamily, vertices: Iterable[VertexId]) -> FiniteW
     vertices = list(vertices)
     if not vertices:
         raise InvalidWindowError("empty vertex set")
-    return _grow_window(family, vertices, 0, len(vertices), check=True)
+    return _grow_window(family, vertices, 0, check=True)
 
 
-def ball(family: GraphFamily, center, radius: int,
-         size_cap: int = DEFAULT_SIZE_CAP) -> FiniteWindow:
+def ball(family: GraphFamily, center, radius: int) -> FiniteWindow:
     """Window on all vertices within `radius` of `center`.
 
     `center` may be a single vertex id or an iterable of them (a ball around
     an edge is the ball around its endpoint pair). A ball around one vertex
     or the two ends of an edge is connected by construction and skips the
     connectivity check; around other sources it can fall apart, and then
-    raises InvalidWindowError as `induced_window` does.
+    raises InvalidWindowError as `induced_window` does. Past
+    `DEFAULT_SIZE_CAP` vertices it raises SizeLimitError.
     """
     if isinstance(center, tuple) and all(isinstance(c, int) for c in center):
         sources = [center]
     else:
         sources = list(center)
-    w = _grow_window(family, sources, radius, size_cap, check=False)
+    w = _grow_window(family, sources, radius, check=False)
     if (len(sources) > 2 or len(sources) == 2 and not _is_edge(w, *sources)) \
             and not w._connected():
         raise InvalidWindowError("window is not connected")
@@ -454,10 +452,9 @@ def _is_edge(window: FiniteWindow, x: VertexId, y: VertexId) -> bool:
     return True
 
 
-def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId],
-                 k: int, size_cap: int = DEFAULT_SIZE_CAP):
+def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId], k: int):
     """C_k(A): sorted tuple of vertices within distance k of the set A."""
-    return tuple(sorted(bfs(family, vertex_set, k, size_cap)))
+    return tuple(sorted(bfs(family, vertex_set, k)))
 
 
 def distance(family: GraphFamily, x: VertexId, y: VertexId,
@@ -473,8 +470,9 @@ def sigma(window: FiniteWindow):
 
 
 def family_edge(family: GraphFamily, tail: VertexId, head: VertexId) -> OrientedEdge:
-    """Validate that (tail, head) is an edge of the family."""
-    if head not in family.neighbors(tail):
+    """Validate that (tail, head) is an edge of the family. Both ends are
+    checked: off the tree's words the tree rule is not symmetric."""
+    if head not in family.neighbors(tail) or tail not in family.neighbors(head):
         raise MissingEdgeError(f"({tail}, {head}) is not an edge of {family.name}")
     return OrientedEdge(tail, head)
 

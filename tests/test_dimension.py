@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from hodgedim import (BUILTIN_FAMILY_NAMES, Subspace, ball, corollary4_table,
+from hodgedim import (BUILTIN_FAMILY_NAMES, MissingEdgeError, OrientedEdge,
+                      Subspace, ball, corollary4_table,
                       diamond_score, dim_window, edge_ball, family_from_window,
                       family_edge, folner_profile, hd_score, induced_window,
                       lemma3_check, make_family, origin_edge, score_report,
@@ -124,6 +125,12 @@ def test_score_report_needs_increasing_radii(z2):
         score_report(z2, origin_edge(z2), (4, 2))
 
 
+def test_score_report_rejects_pairs_off_the_tree(tree3):
+    for e in (OrientedEdge((5,), ()), OrientedEdge((0, 5), (0,))):
+        with pytest.raises(MissingEdgeError):
+            score_report(tree3, e, (1, 2))
+
+
 def test_orientation_invariance(z2):
     e = family_edge(z2, (1, 0), (0, 0))
     assert star_score(z2, e, 1) == star_score(z2, e.canonical(), 1)
@@ -156,17 +163,18 @@ def test_dim_window_jobs_identical(z2):
     assert a == b
 
 
-TRANSLATED = [n for n in BUILTIN_FAMILY_NAMES
-              if make_family(n).translation_axes > 0]
-# an off-origin centre with negative coordinates for each of them
+# an off-origin centre for each family: negative coordinates on the
+# translated ones, a word of length 2 or 3 on the trees
 OFF_ORIGIN = {"z1": (-3,), "z2": (-3, -2), "z3": (-2, -1, -1),
-              "ladder": (-3, 1), "comb": (-3, -1), "diag_lattice": (-3, -2)}
+              "ladder": (-3, 1), "comb": (-3, -1), "diag_lattice": (-3, -2),
+              "tree3": (1, 0, 1), "tree4": (2, 1)}
 
 
-@pytest.mark.parametrize("name", TRANSLATED)
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES)
 def test_dim_window_orbit_reuse_is_bitwise(name):
-    """Reusing one score per translation orbit changes no bit of the
-    average: compare with every edge scored on its own ball."""
+    """Reusing one score per translation orbit, or one for all the edges of
+    a tree, changes no bit of the average at this radius: compare with
+    every edge scored on its own ball."""
     fam = make_family(name)
     r = 3
     for center, radius in ((fam.origin, 2), (OFF_ORIGIN[name], 1)):
@@ -213,13 +221,37 @@ def test_one_edge_score_per_orbit(monkeypatch, name, keys):
     assert len({_shifted(e, 1) for e in calls}) == keys
 
 
+def test_tree_orbit_reuse_moves_at_most_the_last_bit(tree3):
+    """On tree3 at window radius 3 and score radius 4 the per-edge star
+    scores take two values, 2**-53 apart, as the tree automorphisms do not
+    keep the vertex order: the reused average may then differ from the
+    per-edge one, by no more than that."""
+    w = ball(tree3, (), 3)
+    each = [dimension._edge_scores(tree3, e, 4) for e in window_edge_ids(w)]
+    for space in (Subspace.STAR, Subspace.DIAMOND, Subspace.HD):
+        expect = math.fsum(getattr(s, space.value) for s in each) / w.n_edges
+        assert abs(dim_window(tree3, w, space, 4) - expect) <= 2.0 ** -53
+
+
 def test_no_orbit_reuse_without_translations(monkeypatch, tree3):
+    """A tree window solves one edge ball, which every other edge's ball
+    equals up to a tree automorphism; a wrapped finite window, which
+    declares neither translations nor a tree, solves every edge."""
     wrapped = family_from_window(ball(make_family("z2"), (0, 0), 2))
+    tree4 = make_family("tree4")
     for family, window in ((tree3, ball(tree3, (), 3)),
+                           (tree4, ball(tree4, (1,), 2)),
                            (wrapped, ball(wrapped, (0, 0), 1))):
         calls = _count_edge_scores(monkeypatch)
         dim_window(family, window, Subspace.STAR, 2)
-        assert calls == window_edge_ids(window)
+        edges = window_edge_ids(window)
+        assert calls == (edges[:1] if family.tree_degree else edges)
+
+
+def test_tree_orbit_holds_tree_edges_only(tree3):
+    # the first edge, ((), (0,)), is a tree3 edge; ((), (3,)) is not
+    with pytest.raises(MissingEdgeError):
+        dim_window(tree3, ball(make_family("tree4"), (), 1), Subspace.STAR, 2)
 
 
 def test_triangle_diamond_third():

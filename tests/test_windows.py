@@ -12,6 +12,7 @@ from hodgedim import (FiniteWindow, InvalidWindowError, MissingEdgeError,
                       family_edge, induced_window, make_family, neighborhood,
                       origin_edge, same_window, sigma, window_from_json,
                       window_to_json)
+from hodgedim import windows
 
 
 def test_z1_ball_counts(z1):
@@ -195,6 +196,22 @@ def test_family_edge_validates(z2):
     assert (e.tail, e.head) == ((1, 0), (0, 0))
 
 
+@pytest.mark.parametrize("tail, head", [((5,), ()), ((0, 5), (0,))],
+                         ids=["5-under-root", "5-under-0"])
+def test_tree_rejects_pairs_off_the_tree(tree3, tail, head):
+    # the tree rule lists the parent of any tuple, a word of the tree or not
+    assert head in tree3.neighbors(tail)
+    for x, y in ((tail, head), (head, tail)):
+        with pytest.raises(MissingEdgeError):
+            family_edge(tree3, x, y)
+    for sources in ([tail], [tail, head], [(0, 7)]):
+        for r in (0, 2):
+            with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
+                ball(tree3, sources, r)
+        with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
+            induced_window(tree3, sources)
+
+
 def test_origin_edge_is_canonical(z2, tree3):
     for fam in (z2, tree3):
         e = origin_edge(fam)
@@ -238,9 +255,26 @@ def test_induced_window_box(z2):
     assert len(sigma(w)) == 4 * (n - 1)
 
 
-def test_size_cap(z2):
+def test_size_cap(monkeypatch, z2):
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 100)
     with pytest.raises(SizeLimitError):
-        ball(z2, (0, 0), 40, size_cap=100)
+        ball(z2, (0, 0), 40)
+
+
+def test_size_cap_holds_for_every_search(monkeypatch, z2, tree3):
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 100)
+    assert ball(tree3, (), 5).n_vertices == 94
+    with pytest.raises(SizeLimitError):
+        ball(tree3, (), 6)
+    box = [(i, j) for i in range(10) for j in range(10)]
+    assert induced_window(z2, box).n_vertices == 100
+    assert len(neighborhood(z2, box[:99], 0)) == 99
+    with pytest.raises(SizeLimitError):
+        induced_window(z2, box + [(10, 0)])
+    with pytest.raises(SizeLimitError):
+        neighborhood(z2, [(0, 0)], 40)
+    with pytest.raises(SizeLimitError):
+        neighborhood(z2, box + [(10, 0)], 0)
 
 
 def test_distance(z2, tree3):
