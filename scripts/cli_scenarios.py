@@ -2,8 +2,10 @@
 """Fingerprint the CLI's output on a fixed set of scenarios.
 
 Runs each scenario through `hodgedim.cli.main` in process, writing to a
-temporary `--out` file, and prints one `sha256  scenario` line per run. The
-hash covers the exit code and the output bytes. hodgedim is imported from
+temporary `--out` file unless the scenario names its own `--out`, and prints
+one `sha256  scenario` line per run. The hash covers the exit code, the
+output file's bytes, and what the run wrote to stdout and stderr, so error
+messages are gated as well as tables. hodgedim is imported from
 wherever `PYTHONPATH` points, so two source trees can be compared;
 `scripts/same_bytes.sh REF` does that for a git revision and the working
 tree. No diff means every reported value is byte-identical.
@@ -11,14 +13,17 @@ tree. No diff means every reported value is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from hodgedim import (BUILTIN_FAMILY_NAMES, EdgeFunction, ball,
-                      edge_function_to_csv, make_family, window_to_json)
+                      edge_function_to_csv, encode_vertex, make_family,
+                      window_to_json)
 from hodgedim.cli import main as cli_main
 
 COR4_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
@@ -46,13 +51,82 @@ def scenarios(tmp: Path):
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]
 
-    w = ball(make_family("diag_lattice"), (0, 0), 6)
-    u = EdgeFunction(w, np.random.default_rng(7).normal(size=w.n_edges))
-    (tmp / "window.json").write_text(window_to_json(w), encoding="utf-8")
-    (tmp / "edges.csv").write_text(edge_function_to_csv(u), encoding="utf-8")
-    yield "decompose diag_lattice r=6 seed=7", [
-        "decompose", "--window", str(tmp / "window.json"),
-        "--edges", str(tmp / "edges.csv")]
+    # z1 labels such as (5) need no csv quoting; tree3 words vary in length
+    # and the root is ()
+    for fam, r, seed in (("diag_lattice", 6, 7), ("z1", 9, 8), ("tree3", 4, 9)):
+        w = ball(make_family(fam), make_family(fam).origin, r)
+        u = EdgeFunction(w, np.random.default_rng(seed).normal(size=w.n_edges))
+        name = f"{fam} r={r} seed={seed}"
+        argv = _decompose(tmp, name, w, edge_function_to_csv(u))
+        yield f"decompose {name}", argv
+        if fam == "diag_lattice":
+            yield f"decompose {name} stdout", [*argv, "--out", "-"]
+
+    z2 = make_family("z2")
+    w = ball(z2, (0, 0), 3)
+    yield "decompose z2 r=3 reversed omitted spaced", _decompose(
+        tmp, "z2 rows", w, _edited_rows(w))
+    w = ball(z2, (0, 0), 2)
+    for label, text in BAD_EDGE_CSVS:
+        yield f"decompose error: {label}", _decompose(tmp, label, w, text)
+
+
+_HEAD = "tail,head,value\n"
+# Edge CSVs that decompose rejects on the z2 ball of radius 2; where rows
+# break several rules, the first offending row is the one reported.
+BAD_EDGE_CSVS = (
+    ("empty", ""),
+    ("bad header", 'tail,head,val\n"(0,0)","(0,1)",1.0\n'),
+    ("two columns", _HEAD + '"(0,0)","(0,1)",1.0\n"(0,0)","(1,0)"\n'),
+    ("four columns", _HEAD + '"(0,0)","(0,1)",1.0,2.0\n'),
+    ("unknown vertex", _HEAD + '"(0,0)","(9,9)",1.0\n'),
+    ("not an edge", _HEAD + '"(0,0)","(1,1)",1.0\n'),
+    ("tail is head", _HEAD + '"(0,1)","(0,1)",1.0\n'),
+    ("duplicate", _HEAD + '"(0,0)","(0,1)",1.0\n"(0,0)","(0,1)",2.0\n'),
+    ("duplicate reversed",
+     _HEAD + '"(0,0)","(0,1)",1.0\n"(0,1)","(0,0)",2.0\n'),
+    ("not a number", _HEAD + '"(0,0)","(0,1)",abc\n'),
+    ("not a label", _HEAD + '"(0,0)","(0,a)",1.0\n'),
+    ("not finite", _HEAD + '"(0,0)","(0,1)",inf\n'),
+    ("non-edge then bad number",
+     _HEAD + '"(0,0)","(1,1)",1.0\n"(0,0)","(0,1)",abc\n'),
+    ("bad number then non-edge",
+     _HEAD + '"(0,0)","(0,1)",abc\n"(0,0)","(1,1)",1.0\n'),
+    ("non-edge then oversized field",
+     _HEAD + '"(0,0)","(1,1)",1.0\n"(0,0)","(0,1)",' + "1" * 200_000 + "\n"),
+    ("duplicate then short row",
+     _HEAD + '"(0,0)","(0,1)",1.0\n"(1,0)","(0,0)",1.0\n"(0,1)","(0,0)",1\n'
+     '"(0,0)"\n'),
+)
+
+
+def _decompose(tmp: Path, name: str, window, edges_csv: str) -> list:
+    """decompose argv on `window` and `edges_csv`, both written into tmp."""
+    stem = tmp / name.replace(" ", "_").replace("=", "").replace(":", "")
+    wpath, epath = stem.with_suffix(".json"), stem.with_suffix(".csv")
+    wpath.write_text(window_to_json(window), encoding="utf-8")
+    epath.write_text(edges_csv, encoding="utf-8")
+    return ["decompose", "--window", str(wpath), "--edges", str(epath)]
+
+
+def _edited_rows(window) -> str:
+    """Seeded values on every third edge omitted, every other edge written
+    reversed with its value negated, and every fifth label spaced out."""
+    rng = np.random.default_rng(11)
+    lines = ["tail,head,value"]
+    for k, (a, b) in enumerate(zip(window.edge_tails.tolist(),
+                                   window.edge_heads.tolist())):
+        value = float(rng.normal())
+        if k % 3 == 2:
+            continue
+        x, y = window.vertices[a], window.vertices[b]
+        if k % 2:
+            x, y, value = y, x, -value
+        tail, head = encode_vertex(x), encode_vertex(y)
+        if k % 5 == 0:
+            tail = " " + tail.replace(",", ", ")
+        lines.append(f'"{tail}","{head}",{value!r}')
+    return "\n".join(lines) + "\n"
 
 
 def main() -> None:
@@ -60,11 +134,18 @@ def main() -> None:
         tmp = Path(name)
         out = tmp / "out"
         for label, argv in scenarios(tmp):
+            if "--out" not in argv:
+                argv = [*argv, "--out", str(out)]
             for fmt in ("csv", "json"):
                 out.write_bytes(b"")
-                code = cli_main([*argv, "--format", fmt, "--out", str(out)])
-                digest = hashlib.sha256(b"exit %d\n" % code
-                                        + out.read_bytes()).hexdigest()
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = cli_main([*argv, "--format", fmt])
+                digest = hashlib.sha256(
+                    b"exit %d\n" % code + out.read_bytes()
+                    + b"\nstdout\n" + stdout.getvalue().encode()
+                    + b"\nstderr\n" + stderr.getvalue().encode()).hexdigest()
                 print(f"{digest}  {label} --format {fmt}")
 
 

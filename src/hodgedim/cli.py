@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import nullcontext
+from itertools import repeat
+
+import numpy as np
 
 from .dimension import corollary4_table, folner_profile, score_report
 from .edgespace import edge_function_from_csv
@@ -116,23 +119,45 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(command: str, columns, rows, fmt: str, out_path: str) -> None:
-    if fmt == "json":
-        text = json.dumps({"command": command,
-                           "rows": [dict(zip(columns, r)) for r in rows]},
-                          sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_cell(v) for v in r])
-        text = buf.getvalue()
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+_SEQUENCES = (list, tuple, np.ndarray)
+# rows per csv.writer call: bounds the cell strings alive at once
+_CHUNK_ROWS = 4096
+
+
+def _cells(part):
+    """CSV cells of a slice of one column; floats of an array through repr."""
+    if isinstance(part, np.ndarray):
+        values = part.tolist()
+        return map(repr, values) if part.dtype.kind == "f" else map(_cell, values)
+    return map(_cell, part)
+
+
+def _emit(command: str, header, columns, fmt: str, out_path: str) -> None:
+    """Write a table given by columns. A column is a list, tuple or array
+    with one value per row, or a single value that every row repeats and
+    that is formatted once. CSV goes out in chunks of rows as it is
+    formatted; the JSON object is written whole."""
+    n = max((len(c) for c in columns if isinstance(c, _SEQUENCES)), default=0)
+    with (nullcontext(sys.stdout) if out_path == "-" else
+          open(out_path, "w", encoding="utf-8", newline="")) as fh:
+        if fmt == "json":
+            full = [c.tolist() if isinstance(c, np.ndarray) else
+                    c if isinstance(c, _SEQUENCES) else repeat(c, n)
+                    for c in columns]
+            fh.write(json.dumps(
+                {"command": command,
+                 "rows": [dict(zip(header, r)) for r in zip(*full)]},
+                sort_keys=True, separators=(",", ":")) + "\n")
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        same = [None if isinstance(c, _SEQUENCES) else _cell(c)
+                for c in columns]
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            writer.writerows(zip(*[
+                _cells(c[start:stop]) if cell is None else
+                repeat(cell, stop - start) for c, cell in zip(columns, same)]))
 
 
 def _family(ns):
@@ -149,7 +174,7 @@ def _cmd_scores(ns):
              rep.hd[i], rep.cg_iterations[i], rep.residuals[i])
             for i, r in enumerate(rep.radii)]
     return ("family", "edge_tail", "edge_head", "R", "star", "diamond", "hd",
-            "cg_iters", "residual"), rows
+            "cg_iters", "residual"), list(zip(*rows))
 
 
 def _cmd_folner(ns):
@@ -160,7 +185,8 @@ def _cmd_folner(ns):
     rows = [(fam.name, row.radius, row.n_vertices, row.n_edges,
              row.sigma_size, row.ratio_v, row.ratio_e)
             for row in folner_profile(fam, fam.origin, radii)]
-    return ("family", "radius", "V", "E", "sigma", "ratio_v", "ratio_e"), rows
+    return ("family", "radius", "V", "E", "sigma", "ratio_v",
+            "ratio_e"), list(zip(*rows))
 
 
 def _cmd_qicheck(ns):
@@ -186,7 +212,8 @@ def _cmd_qicheck(ns):
                          q.wobble, q.lemma5_ratio, q.lemma5_bound,
                          q.lemma6_ratio, q.lemma6_bound))
     return ("map_name", "window_radius", "k_est", "density_gap", "wobble",
-            "lemma5_ratio", "lemma5_bound", "lemma6_ratio", "lemma6_bound"), rows
+            "lemma5_ratio", "lemma5_bound", "lemma6_ratio",
+            "lemma6_bound"), list(zip(*rows))
 
 
 def _cmd_cor4(ns):
@@ -197,7 +224,7 @@ def _cmd_cor4(ns):
     rows = [(fam.name, row.window_radius, row.score_radius,
              row.hd_dim_estimate, row.sigma_over_e) for row in table]
     return ("family", "window_radius", "score_radius", "hd_dim_estimate",
-            "sigma_over_E"), rows
+            "sigma_over_E"), list(zip(*rows))
 
 
 def _cmd_decompose(ns):
@@ -207,17 +234,12 @@ def _cmd_decompose(ns):
         u = edge_function_from_csv(window, fh.read())
     parts = hodge_decompose_finite(window, u, tol=ns.tol)
     rep = parts.report
-    verts = window.vertices
-    rows = []
-    for k in range(window.n_edges):
-        a = verts[window.edge_tails[k]]
-        b = verts[window.edge_heads[k]]
-        rows.append((encode_vertex(a), encode_vertex(b),
-                     float(u.values[k]), float(parts.star.values[k]),
-                     float(parts.diamond.values[k]), rep.iterations,
-                     rep.residual, rep.converged))
+    labels = np.array(window.labels, dtype=object)
     return ("tail", "head", "value", "star", "diamond", "iterations",
-            "residual", "converged"), rows
+            "residual", "converged"), [
+        labels[window.edge_tails], labels[window.edge_heads], u.values,
+        parts.star.values, parts.diamond.values, rep.iterations,
+        rep.residual, rep.converged]
 
 
 _HANDLERS = {"scores": _cmd_scores, "folner": _cmd_folner,
@@ -237,8 +259,8 @@ def main(argv=None) -> int:
             raise ValueError("--jobs must be >= 1")
         if ns.tol <= 0:
             raise ValueError("--tol must be positive")
-        columns, rows = _HANDLERS[ns.command](ns)
-        _emit(ns.command, columns, rows, ns.format, ns.out)
+        header, columns = _HANDLERS[ns.command](ns)
+        _emit(ns.command, header, columns, ns.format, ns.out)
     except _CONFIG_ERRORS as exc:
         print(f"hodgedim: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,16 @@ extension by zero to the ambient graph.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from array import array
 from typing import Iterable
 
 import numpy as np
 
 from .errors import IncompatibleDomainError, InvalidWindowError, MissingEdgeError
-from .families import VertexId, decode_vertex, encode_vertex
+from .families import VertexId, decode_vertex
 from .windows import (FiniteWindow, OrientedEdge, adjacency_apply,
                       same_window)
 
@@ -44,6 +47,9 @@ class _WindowFunction:
         self.values = _as_values(getattr(window, self._count), values)
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise IncompatibleDomainError(
+                f"{self._kind} function combined with {type(other).__name__}")
         if not same_window(self.window, other.window):
             raise IncompatibleDomainError(
                 f"{self._kind} functions on different windows")
@@ -212,48 +218,88 @@ def support_vertices(u: EdgeFunction):
 
 # -- CSV --------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def vertex_function_to_csv(v: VertexFunction) -> str:
     lines = ["id,value"]
-    for x, val in zip(v.window.vertices, v.values):
-        lines.append(f"\"{encode_vertex(x)}\",{_fmt(val)}")
+    for label, val in zip(v.window.labels, v.values.tolist()):
+        lines.append(f"\"{label}\",{val!r}")
     return "\n".join(lines) + "\n"
 
 
 def edge_function_to_csv(u: EdgeFunction) -> str:
     w = u.window
+    labels = w.labels
     lines = ["tail,head,value"]
     for a, b, val in zip(w.edge_tails.tolist(), w.edge_heads.tolist(),
-                         u.values):
-        lines.append(f"\"{encode_vertex(w.vertices[a])}\","
-                     f"\"{encode_vertex(w.vertices[b])}\",{_fmt(val)}")
+                         u.values.tolist()):
+        lines.append(f"\"{labels[a]}\",\"{labels[b]}\",{val!r}")
     return "\n".join(lines) + "\n"
 
 
 def edge_function_from_csv(window: FiniteWindow, text: str) -> EdgeFunction:
-    """Rows are (tail, head, value); omitted edges default to zero."""
-    import csv
-    import io
+    """Rows are (tail, head, value); omitted edges default to zero, and a row
+    given head first stores the negated value on the canonical edge.
 
-    values = np.zeros(window.n_edges)
-    seen = set()
+    One pass reads the rows into index and value buffers. A label spelled as
+    in `window.labels` is found by dict lookup; any other spelling, such as
+    "(0, 0)", is decoded and looked up. The edge checks then run on whole
+    arrays. The first offending row in file order raises, with the error a
+    row-by-row reader would give: a row's endpoints are checked before its
+    value, and a later row repeating an edge in either orientation is the
+    duplicate.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [c.strip().lower() for c in header[:3]] != \
             ["tail", "head", "value"]:
         raise InvalidWindowError("edge CSV must start with tail,head,value")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise InvalidWindowError(f"bad edge CSV row: {row}")
-        e = OrientedEdge(decode_vertex(row[0]), decode_vertex(row[1]))
-        k, sign = window.edge_lookup(e)
-        if k in seen:
-            raise MissingEdgeError(f"duplicate edge row for {e}")
-        seen.add(k)
-        values[k] = sign * float(row[2])
-    return EdgeFunction(window, values)
+    where = dict(zip(window.labels, range(window.n_vertices)))
+
+    def locate(label: str) -> int:
+        i = where.get(label)
+        return window.index.get(decode_vertex(label), -1) if i is None else i
+
+    tails, heads, values = array("q"), array("q"), array("d")
+    stop = None  # the error that ended the pass early, if one did
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise InvalidWindowError(f"bad edge CSV row: {row}")
+            i, j = where.get(row[0]), where.get(row[1])
+            if i is None or j is None:
+                i, j = locate(row[0]), locate(row[1])
+            if i < 0 or j < 0:
+                e = OrientedEdge(decode_vertex(row[0]), decode_vertex(row[1]))
+                raise MissingEdgeError(
+                    f"edge {e} has an endpoint outside the window")
+            tails.append(i)
+            heads.append(j)
+            values.append(float(row[2]))
+    except (csv.Error, InvalidWindowError, MissingEdgeError, ValueError) as exc:
+        stop = exc
+    t = np.frombuffer(tails, dtype=np.int64)
+    h = np.frombuffer(heads, dtype=np.int64)
+    key = np.minimum(t, h) * window.n_vertices + np.maximum(t, h)
+    k = np.searchsorted(window.edge_key, key)
+    k[k == window.n_edges] = 0
+    found = window.edge_key[k] == key  # never for t == h: edges have t < h
+    # rows that name an edge, by edge position and in file order within one:
+    # each row after the first at its position repeats an earlier row's edge
+    by_edge = np.flatnonzero(found)[np.argsort(k[found], kind="stable")]
+    bad = ~found
+    bad[by_edge[1:][k[by_edge[1:]] == k[by_edge[:-1]]]] = True
+    if bad.any():
+        r = int(bad.argmax())
+        e = OrientedEdge(window.vertices[t[r]], window.vertices[h[r]])
+        if t[r] == h[r]:
+            raise MissingEdgeError(f"degenerate edge {e}")
+        if not found[r]:
+            raise MissingEdgeError(f"{e} is not an edge of the window")
+        raise MissingEdgeError(f"duplicate edge row for {e}")
+    if stop is not None:
+        raise stop
+    v = np.frombuffer(values, dtype=np.float64)
+    out = np.zeros(window.n_edges)
+    out[k] = np.where(t < h, v, -v)
+    return EdgeFunction(window, out)

@@ -172,7 +172,7 @@ def family_from_window(window) -> GraphFamily:
 
 def encode_vertex(x: VertexId) -> str:
     """Compact string form used in CSV cells, e.g. (0,1) -> '(0,1)'."""
-    return "(" + ",".join(str(c) for c in x) + ")"
+    return "(" + ",".join(map(str, x)) + ")"
 
 
 def decode_vertex(s: str) -> VertexId:

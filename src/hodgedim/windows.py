@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (InvalidWindowError, MissingEdgeError, SizeLimitError)
-from .families import GraphFamily, VertexId
+from .families import GraphFamily, VertexId, encode_vertex
 
 # Most vertices a window may hold; read at each check, so tests can lower it.
 DEFAULT_SIZE_CAP = 2_000_000
@@ -53,6 +53,7 @@ class FiniteWindow:
 
     Attributes:
         vertices      tuple of vertex ids, sorted
+        labels        `encode_vertex` of each vertex, built on first use
         edge_tails    int array, tail index of each canonical edge
         edge_heads    int array, head index (always > tail index)
         full_degree   int array, ambient degree per vertex
@@ -78,6 +79,7 @@ class FiniteWindow:
         self.internal_degree = deg
         self.boundary = self.internal_degree < self.full_degree
         self._index = None
+        self._labels = None
         self._edge_key = None
         if check:
             self._validate()
@@ -103,6 +105,22 @@ class FiniteWindow:
         if self._index is None:
             self._index = {x: i for i, x in enumerate(self.vertices)}
         return self._index
+
+    @property
+    def labels(self) -> list:
+        """The CSV label of each vertex, in vertex order. Built once, so
+        reading and writing a window's CSV encode each vertex once."""
+        if self._labels is None:
+            self._labels = list(map(encode_vertex, self.vertices))
+        return self._labels
+
+    @property
+    def edge_key(self) -> np.ndarray:
+        """tail * n_vertices + head per canonical edge, ascending: one
+        `searchsorted` on it finds the positions of many index pairs."""
+        if self._edge_key is None:
+            self._edge_key = self.edge_tails * self.n_vertices + self.edge_heads
+        return self._edge_key
 
     def vertex_index(self, x: VertexId) -> int:
         try:
@@ -138,11 +156,9 @@ class FiniteWindow:
             i, j, sign = j, i, -1
         elif i == j:
             raise MissingEdgeError(f"degenerate edge {e}")
-        if self._edge_key is None:
-            self._edge_key = self.edge_tails * self.n_vertices + self.edge_heads
         key = i * self.n_vertices + j
-        k = int(np.searchsorted(self._edge_key, key))
-        if k >= self.n_edges or self._edge_key[k] != key:
+        k = int(np.searchsorted(self.edge_key, key))
+        if k >= self.n_edges or self.edge_key[k] != key:
             raise MissingEdgeError(f"{e} is not an edge of the window")
         return k, sign
 
@@ -210,13 +226,19 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     With `targets`, stop after the first complete layer containing the last
     of them; layers are never cut short, so every vertex at distance <= the
     largest returned distance is present. Raises SizeLimitError once the
-    table passes `DEFAULT_SIZE_CAP` vertices.
+    table passes `DEFAULT_SIZE_CAP` vertices, and InvalidWindowError for a
+    source or target off a tree family's words.
     """
     if depth < 0:
         raise InvalidWindowError("radius must be >= 0")
     dist = dict.fromkeys(sources, 0)
     _check_size(len(dist))
-    todo = None if targets is None else set(targets).difference(dist)
+    todo = None if targets is None else set(targets)
+    if family.tree_degree:
+        _check_words(family.tree_degree, dist)
+        _check_words(family.tree_degree, todo or ())
+    if todo is not None:
+        todo.difference_update(dist)
     neighbors = family.neighbors
     frontier = list(dist)
     for d in range(1, depth + 1):
@@ -323,11 +345,7 @@ def _tree_window(d: int, sources: list, radius: int,
     Returns None when W, the longest source word plus the radius, makes keys
     too large for int64; the caller then walks tuples. Keys never wrap.
     """
-    for x in sources:
-        if not (type(x) is tuple and all(type(a) is int for a in x)
-                and (not x or 0 <= x[0] < d)
-                and all(0 <= a < d - 1 for a in x[1:])):
-            raise InvalidWindowError(f"{x} is not a vertex of tree{d}")
+    _check_words(d, sources)
     base = d + 1
     width = max(map(len, sources), default=0) + radius
     if base ** width >= 2 ** 63:
@@ -397,6 +415,17 @@ def _tree_window(d: int, sources: list, radius: int,
     del parent, digit
     return FiniteWindow(vertices, tails, heads,
                         np.full(n, d, dtype=np.int64), check=check)
+
+
+def _check_words(d: int, xs: Iterable) -> None:
+    """Raise InvalidWindowError for any of `xs` that is not a word of the
+    d-regular tree. Off the words the tree rule is not symmetric: it lists
+    () as a neighbour of (5,) in tree3, but not the reverse."""
+    for x in xs:
+        if not (type(x) is tuple and all(type(a) is int for a in x)
+                and (not x or 0 <= x[0] < d)
+                and all(0 <= a < d - 1 for a in x[1:])):
+            raise InvalidWindowError(f"{x} is not a vertex of tree{d}")
 
 
 def _encode_word(x: VertexId, base: int, width: int) -> int:

@@ -14,9 +14,76 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgedim import FiniteWindow, ball, induced_window, make_family
+from hodgedim import (FiniteWindow, IncompatibleDomainError, InvalidWindowError,
+                      MissingEdgeError, ball, induced_window, make_family)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# Edge CSV bodies that `edge_function_from_csv` must reject on the z2 ball of
+# radius 2 about the origin: (label, text, error type, message). When rows
+# break several rules, the first offending row in file order is reported.
+_HEAD = "tail,head,value\n"
+BAD_EDGE_CSVS = [
+    ("empty", "", InvalidWindowError,
+     "edge CSV must start with tail,head,value"),
+    ("bad header", 'tail,head,val\n"(0,0)","(0,1)",1.0\n', InvalidWindowError,
+     "edge CSV must start with tail,head,value"),
+    ("two columns", _HEAD + '"(0,0)","(0,1)",1.0\n"(0,0)","(1,0)"\n',
+     InvalidWindowError, "bad edge CSV row: ['(0,0)', '(1,0)']"),
+    ("four columns", _HEAD + '"(0,0)","(0,1)",1.0,2.0\n', InvalidWindowError,
+     "bad edge CSV row: ['(0,0)', '(0,1)', '1.0', '2.0']"),
+    ("unknown vertex", _HEAD + '"(0,0)","(9,9)",1.0\n', MissingEdgeError,
+     "edge OrientedEdge(tail=(0, 0), head=(9, 9)) has an endpoint outside "
+     "the window"),
+    ("not an edge", _HEAD + '"(0,0)","(1,1)",1.0\n', MissingEdgeError,
+     "OrientedEdge(tail=(0, 0), head=(1, 1)) is not an edge of the window"),
+    ("tail is head", _HEAD + '"(0,1)","(0,1)",1.0\n', MissingEdgeError,
+     "degenerate edge OrientedEdge(tail=(0, 1), head=(0, 1))"),
+    ("duplicate", _HEAD + '"(0,0)","(0,1)",1.0\n"(0,0)","(0,1)",2.0\n',
+     MissingEdgeError,
+     "duplicate edge row for OrientedEdge(tail=(0, 0), head=(0, 1))"),
+    ("duplicate reversed", _HEAD + '"(0,0)","(0,1)",1.0\n"(0,1)","(0,0)",2.0\n',
+     MissingEdgeError,
+     "duplicate edge row for OrientedEdge(tail=(0, 1), head=(0, 0))"),
+    ("not a number", _HEAD + '"(0,0)","(0,1)",abc\n', ValueError,
+     "could not convert string to float: 'abc'"),
+    ("not a label", _HEAD + '"(0,0)","(0,a)",1.0\n', ValueError,
+     "invalid literal for int() with base 10: 'a'"),
+    ("not finite", _HEAD + '"(0,0)","(0,1)",nan\n', IncompatibleDomainError,
+     "values must be finite"),
+    # ordering: the earlier row wins, and within a row the pair is checked
+    # before the value
+    ("non-edge before bad number",
+     _HEAD + '"(0,0)","(1,1)",1.0\n"(0,0)","(0,1)",abc\n', MissingEdgeError,
+     "OrientedEdge(tail=(0, 0), head=(1, 1)) is not an edge of the window"),
+    ("bad number before non-edge",
+     _HEAD + '"(0,0)","(0,1)",abc\n"(0,0)","(1,1)",1.0\n', ValueError,
+     "could not convert string to float: 'abc'"),
+    ("non-edge with a bad number", _HEAD + '"(0,0)","(1,1)",abc\n',
+     MissingEdgeError,
+     "OrientedEdge(tail=(0, 0), head=(1, 1)) is not an edge of the window"),
+    ("duplicate with a bad number",
+     _HEAD + '"(0,0)","(0,1)",1.0\n"(0,1)","(0,0)",abc\n', MissingEdgeError,
+     "duplicate edge row for OrientedEdge(tail=(0, 1), head=(0, 0))"),
+    ("duplicate before short row",
+     _HEAD + '"(0,0)","(0,1)",1.0\n"(0,0)","(0,1)",1.0\n"(0,0)"\n',
+     MissingEdgeError,
+     "duplicate edge row for OrientedEdge(tail=(0, 0), head=(0, 1))"),
+    ("short row before duplicate",
+     _HEAD + '"(0,0)","(0,1)",1.0\n"(0,0)"\n"(0,0)","(0,1)",1.0\n',
+     InvalidWindowError, "bad edge CSV row: ['(0,0)']"),
+    ("non-edge before unknown vertex",
+     _HEAD + '"(0,0)","(1,1)",1.0\n"(0,0)","(9,9)",1.0\n', MissingEdgeError,
+     "OrientedEdge(tail=(0, 0), head=(1, 1)) is not an edge of the window"),
+    ("non-edge before oversized field",
+     _HEAD + '"(0,0)","(1,1)",1.0\n"(0,0)","(0,1)",' + "1" * 200_000 + "\n",
+     MissingEdgeError,
+     "OrientedEdge(tail=(0, 0), head=(1, 1)) is not an edge of the window"),
+    ("unknown vertex before bad label",
+     _HEAD + '"(9,9)","(0,0)",1.0\n"(0,0)","(0,a)",1.0\n', MissingEdgeError,
+     "edge OrientedEdge(tail=(9, 9), head=(0, 0)) has an endpoint outside "
+     "the window"),
+]
 
 
 def source_env() -> dict[str, str]:

@@ -13,7 +13,7 @@ import pytest
 from hodgedim import (SolverFailureError, ball, differential, edge_function_to_csv,
                       VertexFunction, make_family, window_to_json)
 from hodgedim.cli import main
-from conftest import REPO_ROOT, source_env
+from conftest import BAD_EDGE_CSVS, REPO_ROOT, source_env
 
 import numpy as np
 
@@ -165,6 +165,20 @@ def test_decompose_malformed_window(tmp_path, capsys):
     assert out == ""
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label, text, error, message", BAD_EDGE_CSVS,
+                         ids=[case[0] for case in BAD_EDGE_CSVS])
+def test_decompose_bad_edge_csv(tmp_path, capsys, label, text, error, message):
+    wpath = tmp_path / "window.json"
+    epath = tmp_path / "edges.csv"
+    wpath.write_text(window_to_json(ball(make_family("z2"), (0, 0), 2)))
+    epath.write_text(text)
+    code, out, err = run_cli(capsys, "decompose", "--window", str(wpath),
+                             "--edges", str(epath))
+    assert code == 2
+    assert out == ""
+    assert err == f"hodgedim: configuration error: {message}\n"
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from hodgedim import (EdgeFunction, MissingEdgeError, VertexFunction, ball,
-                      chi, codifferential, differential, edge_function_from_csv,
-                      edge_function_to_csv, edge_indicator, energy,
+from hodgedim import (EdgeFunction, IncompatibleDomainError, MissingEdgeError,
+                      VertexFunction, ball, chi, codifferential, differential,
+                      edge_function_from_csv, edge_function_to_csv,
+                      edge_indicator, energy,
                       family_edge, flow_residual, harmonic_residual, inner,
                       is_flow, is_harmonic, make_family, mask_edges,
                       support_vertices, transfer_edge_function, vertex_inner)
-from conftest import incidence
+from conftest import BAD_EDGE_CSVS, incidence
 
 
 def test_differential_matches_incidence(small_z2_window, rng):
@@ -157,6 +158,49 @@ def test_csv_rejects_duplicates(small_z2_window):
     text = "tail,head,value\n\"(0, 0)\",\"(0, 1)\",1.0\n\"(0, 0)\",\"(0, 1)\",2.0\n"
     with pytest.raises(MissingEdgeError):
         edge_function_from_csv(small_z2_window, text)
+
+
+@pytest.mark.parametrize("label, text, error, message", BAD_EDGE_CSVS,
+                         ids=[case[0] for case in BAD_EDGE_CSVS])
+def test_csv_errors(small_z2_window, label, text, error, message):
+    with pytest.raises(error) as info:
+        edge_function_from_csv(small_z2_window, text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_csv_reversed_omitted_and_spaced_rows(small_z2_window):
+    w = small_z2_window
+    text = ("TAIL, Head ,value\n"
+            '"(0,1)","(0,0)",2.5\n'  # reversed: stored as -2.5 on (0,0)-(0,1)
+            '\n'
+            '" (1, 0) ","(0,0)",-1.0\n'  # spaced and reversed
+            '"(0, -1)","(0,0)",4.0\n'
+            '"(0,0)","(-1,0)",0.5\n'
+            '"(1,0)","(1,1)",3.0\n')
+    u = edge_function_from_csv(w, text)
+    expect = {((0, 0), (0, 1)): -2.5, ((0, 0), (1, 0)): 1.0,
+              ((0, -1), (0, 0)): 4.0, ((-1, 0), (0, 0)): -0.5,
+              ((1, 0), (1, 1)): 3.0}
+    for k, (a, b) in enumerate(zip(w.edge_tails.tolist(),
+                                   w.edge_heads.tolist())):
+        pair = (w.vertices[a], w.vertices[b])
+        assert u.values[k] == expect.get(pair, 0.0), pair
+    assert np.count_nonzero(u.values) == len(expect)
+
+
+@pytest.mark.parametrize("op", ["inner", "+", "-"])
+def test_functions_of_different_kinds_do_not_combine(op):
+    # the unit square has as many vertices as edges, so only the kind differs
+    w = ball(make_family("z2"), [(0, 0), (0, 1), (1, 0), (1, 1)], 0)
+    assert w.n_vertices == w.n_edges == 4
+    u = EdgeFunction(w, np.ones(4))
+    v = VertexFunction(w, np.ones(4))
+    combine = {"inner": inner, "+": lambda a, b: a + b,
+               "-": lambda a, b: a - b}[op]
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(IncompatibleDomainError):
+            combine(a, b)
 
 
 def test_arithmetic(small_z2_window, rng):

@@ -210,6 +210,11 @@ def test_tree_rejects_pairs_off_the_tree(tree3, tail, head):
                 ball(tree3, sources, r)
         with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
             induced_window(tree3, sources)
+        with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
+            neighborhood(tree3, sources, 1)
+    for x, y in ((tail, head), (head, tail)):
+        with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
+            distance(tree3, x, y, 5)
 
 
 def test_origin_edge_is_canonical(z2, tree3):
@@ -282,6 +287,24 @@ def test_distance(z2, tree3):
     assert distance(z2, (0, 0), (0, 0), 20) == 0
     assert distance(tree3, (), (0, 0), 20) == 2
     assert distance(z2, (0, 0), (50, 0), cutoff=10) is None
+
+
+tree3_words = st.builds(
+    lambda first, rest: () if first is None else (first, *rest),
+    st.one_of(st.none(), st.integers(0, 2)),
+    st.lists(st.integers(0, 1), max_size=4))
+
+
+@settings(deadline=None, max_examples=40)
+@given(tree3_words, tree3_words)
+def test_tree_distance_symmetric(a, b):
+    tree3 = make_family("tree3")
+    common = 0
+    while common < min(len(a), len(b)) and a[common] == b[common]:
+        common += 1
+    d = distance(tree3, a, b, 20)
+    assert d == distance(tree3, b, a, 20)
+    assert d == len(a) + len(b) - 2 * common
 
 
 def test_json_roundtrip(z2):
