@@ -50,6 +50,14 @@ def scenarios(tmp: Path):
     for fam in QI_FAMILIES:
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]
+    # flags that select nothing: --jobs, and --tol where nothing is solved
+    yield "scores z2 --jobs 3", ["scores", "--family", "z2", "--radii", "1..8",
+                                 "--jobs", "3"]
+    yield "cor4 z2 --jobs 3", ["cor4", "--family", "z2", "--window-radii",
+                               "1,2,3", "--factor", "4", "--jobs", "3"]
+    yield "qicheck z2 --tol --jobs 2", ["qicheck", "--family", "z2",
+                                        "--window-radii", "1..4",
+                                        "--tol", "1e-6", "--jobs", "2"]
 
     # z1 labels such as (5) need no csv quoting; tree3 words vary in length
     # and the root is ()

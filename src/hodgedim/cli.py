@@ -10,8 +10,10 @@ Subcommands:
 
 Output is CSV (default) or JSON (--format json, validating against
 schemas/output.schema.json). Runs are deterministic: identical flags give
-byte-identical output. --jobs is accepted and must be >= 1, but work runs
-in a single thread whatever its value, so it never changes the output.
+byte-identical output. --tol, the relative residual every solve must reach,
+must lie in (0, 1); folner and qicheck solve nothing and ignore it. --jobs
+is accepted and must be >= 1, but it is passed to nothing: work runs in a
+single thread, so it never changes the output.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -23,6 +25,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import astuple, fields
 from itertools import repeat
 
 import numpy as np
@@ -35,13 +38,13 @@ from .errors import (CutoffExceededError, HodgedimError,
                      InvalidWindowError, MissingEdgeError, SizeLimitError,
                      SolverFailureError)
 from .families import encode_vertex, make_family
-from .quasi import builtin_maps, suite_row
+from .quasi import QiRow, builtin_maps, suite_row
 from .solver import hodge_decompose_finite
 from .windows import origin_edge, window_from_json
 
 _CONFIG_ERRORS = (InvalidFamilyError, InvalidWindowError,
                   IncompatibleDomainError, MissingEdgeError, SizeLimitError,
-                  InsufficientWindowError, ValueError, OSError)
+                  InsufficientWindowError, ValueError, OSError, csv.Error)
 _NUMERIC_ERRORS = (SolverFailureError, IncompatibleRhsError,
                    CutoffExceededError)
 
@@ -74,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", type=int, default=None,
                            help="degree parameter for lattice/tree")
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="solver tolerance (default 1e-10)")
+                       help="solver tolerance, in (0, 1) (default 1e-10)")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility, must be >= 1; "
                             "work runs in one thread and output is identical "
@@ -166,15 +169,13 @@ def _family(ns):
 
 def _cmd_scores(ns):
     fam = _family(ns)
-    radii = _parse_radii(ns.radii)
-    rep = score_report(fam, origin_edge(fam), radii, tol=ns.tol, jobs=ns.jobs)
-    tail = encode_vertex(rep.edge.tail)
-    head = encode_vertex(rep.edge.head)
-    rows = [(rep.family, tail, head, r, rep.star[i], rep.diamond[i],
-             rep.hd[i], rep.cg_iterations[i], rep.residuals[i])
-            for i, r in enumerate(rep.radii)]
+    rep = score_report(fam, origin_edge(fam), _parse_radii(ns.radii),
+                       tol=ns.tol)
     return ("family", "edge_tail", "edge_head", "R", "star", "diamond", "hd",
-            "cg_iters", "residual"), list(zip(*rows))
+            "cg_iters", "residual"), [
+        rep.family, encode_vertex(rep.edge.tail), encode_vertex(rep.edge.head),
+        rep.radii, rep.star, rep.diamond, rep.hd, rep.cg_iterations,
+        rep.residuals]
 
 
 def _cmd_folner(ns):
@@ -204,23 +205,14 @@ def _cmd_qicheck(ns):
                     f"unknown map {name!r} for family {fam.name}; "
                     f"available: {', '.join(sorted(available))}")
             chosen.append(available[name])
-    rows = []
-    for m in chosen:
-        for r in radii:
-            q = suite_row(m, r, tol=ns.tol)
-            rows.append((q.map_name, q.window_radius, q.k_est, q.density_gap,
-                         q.wobble, q.lemma5_ratio, q.lemma5_bound,
-                         q.lemma6_ratio, q.lemma6_bound))
-    return ("map_name", "window_radius", "k_est", "density_gap", "wobble",
-            "lemma5_ratio", "lemma5_bound", "lemma6_ratio",
-            "lemma6_bound"), list(zip(*rows))
+    rows = [astuple(suite_row(m, r)) for m in chosen for r in radii]
+    return tuple(f.name for f in fields(QiRow)), list(zip(*rows))
 
 
 def _cmd_cor4(ns):
     fam = _family(ns)
     radii = _parse_radii(ns.window_radii)
-    table = corollary4_table(fam, fam.origin, radii, ns.factor, tol=ns.tol,
-                             jobs=ns.jobs)
+    table = corollary4_table(fam, fam.origin, radii, ns.factor, tol=ns.tol)
     rows = [(fam.name, row.window_radius, row.score_radius,
              row.hd_dim_estimate, row.sigma_over_e) for row in table]
     return ("family", "window_radius", "score_radius", "hd_dim_estimate",
@@ -257,8 +249,8 @@ def main(argv=None) -> int:
     try:
         if ns.jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        if ns.tol <= 0:
-            raise ValueError("--tol must be positive")
+        if not 0 < ns.tol < 1:
+            raise ValueError("--tol must be in (0, 1)")
         header, columns = _HANDLERS[ns.command](ns)
         _emit(ns.command, header, columns, ns.format, ns.out)
     except _CONFIG_ERRORS as exc:

@@ -141,12 +141,8 @@ class ScoreReport:
 
 
 def score_report(family: GraphFamily, e: OrientedEdge, radii: Sequence[int],
-                 tol: float = 1e-10, jobs: int = 1) -> ScoreReport:
-    """Scores of one edge at each radius of an increasing schedule.
-
-    `jobs` must be >= 1; the radii run one after another whatever its value.
-    """
-    _check_jobs(jobs)
+                 tol: float = 1e-10) -> ScoreReport:
+    """Scores of one edge at each radius of an increasing schedule."""
     radii = _radius_schedule(radii)
     entries = [_edge_scores(family, e, r, tol) for r in radii]
     rep = ScoreReport(
@@ -160,11 +156,6 @@ def score_report(family: GraphFamily, e: OrientedEdge, radii: Sequence[int],
         tol=tol)
     rep.validate()
     return rep
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
 
 def _radius_schedule(radii: Sequence[int]) -> Tuple[int, ...]:
@@ -184,7 +175,7 @@ def window_edge_ids(window: FiniteWindow):
 
 
 def dim_window(family: GraphFamily, window: FiniteWindow, space: Subspace,
-               r: int, tol: float = 1e-10, jobs: int = 1) -> float:
+               r: int, tol: float = 1e-10) -> float:
     """Average per-edge score over the window's edges.
 
     FULL needs no solve and is exactly 1: the per-edge traces of the whole
@@ -193,10 +184,8 @@ def dim_window(family: GraphFamily, window: FiniteWindow, space: Subspace,
     is inherited from the per-edge partition. One score is computed per
     translation orbit (`GraphFamily.translation_axes`), or once for all the
     edges of a tree (`GraphFamily.tree_degree`), whose automorphisms act
-    transitively on its edges, and reused bit for bit. `jobs` must be >= 1;
-    the edges run one after another whatever its value.
+    transitively on its edges, and reused bit for bit.
     """
-    _check_jobs(jobs)
     if space is Subspace.FULL:
         return 1.0
     need_star = space in (Subspace.STAR, Subspace.HD)
@@ -252,16 +241,15 @@ class Lemma3Result:
 
 
 def lemma3_check(family: GraphFamily, window: FiniteWindow, r: int,
-                 tol: float = 1e-10, slack: float = 0.05,
-                 jobs: int = 1) -> Lemma3Result:
+                 tol: float = 1e-10, slack: float = 0.05) -> Lemma3Result:
     """Check dim(star) + dim(diamond) >= 1 - |sigma| / |E| on a window.
 
     The left side uses radius-r estimators, which approach the true trace
     from below; `slack` absorbs that finite-radius truncation, so `holds`
     means the bound is verified up to slack at this radius.
     """
-    lhs = (dim_window(family, window, Subspace.STAR, r, tol, jobs)
-           + dim_window(family, window, Subspace.DIAMOND, r, tol, jobs))
+    lhs = (dim_window(family, window, Subspace.STAR, r, tol)
+           + dim_window(family, window, Subspace.DIAMOND, r, tol))
     rhs = 1.0 - len(sigma(window)) / window.n_edges
     return Lemma3Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack)
 
@@ -276,7 +264,7 @@ class Cor4Row:
 
 def corollary4_table(family: GraphFamily, center: VertexId,
                      window_radii: Sequence[int], score_radius_factor: int,
-                     tol: float = 1e-10, jobs: int = 1):
+                     tol: float = 1e-10):
     """hd dimension estimates along a growing ball sequence.
 
     score_radius = factor * window_radius keeps the estimator honest as the
@@ -293,7 +281,7 @@ def corollary4_table(family: GraphFamily, center: VertexId,
             raise InvalidWindowError("window radii must be >= 1")
         w = ball(family, center, wr)
         r = score_radius_factor * wr
-        est = dim_window(family, w, Subspace.HD, r, tol, jobs)
+        est = dim_window(family, w, Subspace.HD, r, tol)
         rows.append(Cor4Row(window_radius=wr, score_radius=r,
                             hd_dim_estimate=est,
                             sigma_over_e=len(sigma(w)) / w.n_edges))

@@ -124,11 +124,8 @@ def energy(v: VertexFunction) -> float:
 
 
 def edge_indicator(window: FiniteWindow, e: OrientedEdge) -> EdgeFunction:
-    """chi_e: +1 on e, -1 on the reversal, 0 elsewhere. Unit norm.
-
-    Finds e's endpoints by bisection, so a scored ball never builds its
-    vertex index dict."""
-    k, sign = window.edge_lookup(e, window.bisect_index)
+    """chi_e: +1 on e, -1 on the reversal, 0 elsewhere. Unit norm."""
+    k, sign = window.edge_lookup(e)
     values = np.zeros(window.n_edges)
     values[k] = sign
     return EdgeFunction(window, values)

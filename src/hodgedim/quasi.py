@@ -419,7 +419,7 @@ def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
     return VertexFunction(window, vals)
 
 
-def suite_row(f: QuasiMap, window_radius: int, tol: float = 1e-10) -> QiRow:
+def suite_row(f: QuasiMap, window_radius: int) -> QiRow:
     """Run the full check battery for one built-in map at one window radius.
 
     The Dirichlet test function is a radial tent centered at the image of the

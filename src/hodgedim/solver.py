@@ -66,13 +66,16 @@ def laplacian_apply(window: FiniteWindow, v: VertexFunction,
 def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
                     mode: LaplacianMode, tol: float = 1e-10,
                     max_iterations: int | None = None):
-    """Solve L v = rhs to relative residual `tol`.
+    """Solve L v = rhs to relative residual `tol`, which must lie in (0, 1):
+    at 1 or more the zero start vector already passes.
 
     Returns (v, SolveReport). Singular configurations (FREE mode, or EMBEDDED
     on a window without boundary) require a zero-mean rhs and return the
     zero-mean solution. Raises SolverFailureError, carrying the report, if
     the iteration cap (default 20 |V|) is hit first.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     n = window.n_vertices
     deg = _mode_degrees(window, mode)
     singular = bool(np.all(deg == window.internal_degree))

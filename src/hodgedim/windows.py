@@ -102,6 +102,8 @@ class FiniteWindow:
 
     @property
     def index(self) -> dict:
+        """Vertex -> index, built on first use, for loops over many
+        vertices; single lookups bisect (`bisect_index`) instead."""
         if self._index is None:
             self._index = {x: i for i, x in enumerate(self.vertices)}
         return self._index
@@ -123,10 +125,10 @@ class FiniteWindow:
         return self._edge_key
 
     def vertex_index(self, x: VertexId) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise InvalidWindowError(f"vertex {x} not in window") from None
+        i = self.bisect_index(x)
+        if i is None:
+            raise InvalidWindowError(f"vertex {x} not in window")
+        return i
 
     def sigma_indices(self) -> np.ndarray:
         return np.nonzero(self.boundary)[0]
@@ -138,17 +140,14 @@ class FiniteWindow:
         i = bisect_left(self.vertices, x)
         return i if i < self.n_vertices and self.vertices[i] == x else None
 
-    def edge_lookup(self, e: OrientedEdge, locate=None):
+    def edge_lookup(self, e: OrientedEdge):
         """Return (edge position, sign) for an oriented edge of the window.
 
         sign is +1 when e is canonically oriented, -1 otherwise. Endpoints
-        are found with `locate` (vertex -> index or None), by default the
-        `index` dict; pass `bisect_index` for a single lookup.
+        are found with `bisect_index`.
         """
-        if locate is None:
-            locate = self.index.get
-        i = locate(e.tail)
-        j = locate(e.head)
+        i = self.bisect_index(e.tail)
+        j = self.bisect_index(e.head)
         if i is None or j is None:
             raise MissingEdgeError(f"edge {e} has an endpoint outside the window")
         sign = 1
@@ -475,7 +474,7 @@ def ball(family: GraphFamily, center, radius: int) -> FiniteWindow:
 
 def _is_edge(window: FiniteWindow, x: VertexId, y: VertexId) -> bool:
     try:
-        window.edge_lookup(OrientedEdge(x, y), window.bisect_index)
+        window.edge_lookup(OrientedEdge(x, y))
     except MissingEdgeError:
         return False
     return True

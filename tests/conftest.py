@@ -8,6 +8,7 @@ window API.
 
 from __future__ import annotations
 
+import csv
 import os
 from pathlib import Path
 
@@ -51,6 +52,8 @@ BAD_EDGE_CSVS = [
      "invalid literal for int() with base 10: 'a'"),
     ("not finite", _HEAD + '"(0,0)","(0,1)",nan\n', IncompatibleDomainError,
      "values must be finite"),
+    ("oversized field", _HEAD + '"(0,0)","(0,1)",' + "1" * 200_000 + "\n",
+     csv.Error, "field larger than field limit (131072)"),
     # ordering: the earlier row wins, and within a row the pair is checked
     # before the value
     ("non-edge before bad number",

@@ -117,19 +117,19 @@ def test_c04_line_exact():
 def test_c05_planar_decay_vs_tree_plateau():
     t0 = time.time()
     fam = make_family("z2")
-    rep = score_report(fam, origin_edge(fam), (1, 2, 4, 8, 16, 32), jobs=4)
+    rep = score_report(fam, origin_edge(fam), (1, 2, 4, 8, 16, 32))
     rep.validate()
     hd = list(rep.hd)
     assert hd[-1] <= 0.1
     for a, b in zip(hd, hd[1:]):
         assert b <= a + 1e-8
 
-    rows = corollary4_table(fam, fam.origin, (2, 4, 8), 4, jobs=4)
+    rows = corollary4_table(fam, fam.origin, (2, 4, 8), 4)
     ests = [r.hd_dim_estimate for r in rows]
     assert ests[0] > ests[1] > ests[2]
 
     t3 = make_family("tree3")
-    trows = corollary4_table(t3, t3.origin, (2, 4), 4, jobs=4)
+    trows = corollary4_table(t3, t3.origin, (2, 4), 4)
     for row in trows:
         assert row.hd_dim_estimate == approx(1 / 3, abs=0.02)
     elapsed = time.time() - t0
@@ -143,7 +143,7 @@ def test_c06_lemma3_boxes():
     fam = make_family("z2")
     for n in (3, 5, 9):
         box = induced_window(fam, [(i, j) for i in range(n) for j in range(n)])
-        res = lemma3_check(fam, box, 4 * n, jobs=4)
+        res = lemma3_check(fam, box, 4 * n)
         assert res.holds
         assert res.rhs == approx(1 - 2 / n, abs=1e-12)
         assert res.lhs >= 1 - 2 / n - 0.05

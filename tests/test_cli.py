@@ -224,6 +224,23 @@ def test_bad_jobs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("scores", "--family", "z2", "--radii", "1,2"),
+    ("folner", "--family", "z2", "--radii", "1,2"),
+    ("qicheck", "--family", "z2", "--window-radii", "1"),
+    ("cor4", "--family", "z2", "--window-radii", "1"),
+    ("decompose", "--window", "w.json", "--edges", "u.csv"),
+], ids=lambda argv: argv[0])
+def test_tol_outside_unit_interval(capsys, argv, tol):
+    """At --tol >= 1 the zero start vector passes CG at once, so no command
+    accepts it, even one that solves nothing."""
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == "hodgedim: configuration error: --tol must be in (0, 1)\n"
+
+
 def test_numeric_failure_exit_code(monkeypatch, capsys):
     import hodgedim.cli as cli_mod
 

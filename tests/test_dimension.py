@@ -156,13 +156,6 @@ def test_dim_window_additive(z2):
     assert s + d + h == approx(1.0, abs=1e-10)
 
 
-def test_dim_window_jobs_identical(z2):
-    w = ball(z2, (0, 0), 1)
-    a = dim_window(z2, w, Subspace.HD, 2, jobs=1)
-    b = dim_window(z2, w, Subspace.HD, 2, jobs=4)
-    assert a == b
-
-
 # an off-origin centre for each family: negative coordinates on the
 # translated ones, a word of length 2 or 3 on the trees
 OFF_ORIGIN = {"z1": (-3,), "z2": (-3, -2), "z3": (-2, -1, -1),

@@ -1,14 +1,23 @@
-"""Edge scores against direct sparse solves, on balls of 10^3 to 10^5 vertices.
+"""Edge scores against two oracles that do not use the package's CG.
 
 Each score is an effective resistance between the edge's endpoints:
 star(e, r) in the ball with its exterior wired to one grounded vertex, and
-1 - diamond(e, r) in the free ball. Here both Laplacians are built from the
-window's edge list with scipy.sparse and solved by sparse LU, with no use of
-the package's CG, so this checks the estimator at sizes the dense oracle of
-conftest cannot reach. Only the window itself comes from the package.
+1 - diamond(e, r) in the free ball. By Kirchhoff's theorem that resistance
+is also the chance that the edge lies in a uniform spanning tree of the
+wired or the free ball.
+
+The first oracle builds both Laplacians from the window's edge list with
+scipy.sparse and solves them by sparse LU, on balls of 10^3 to 10^5
+vertices, which the dense oracle of conftest cannot reach. The second
+samples spanning trees by Wilson's algorithm (random walks, no linear
+algebra) and checks the scores to within 5 binomial standard deviations.
+Only the window itself comes from the package.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +25,11 @@ import pytest
 from hodgedim import OrientedEdge, edge_ball, make_family
 from hodgedim.dimension import _edge_scores
 
-sp = pytest.importorskip("scipy.sparse")
-spla = pytest.importorskip("scipy.sparse.linalg")
+try:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+except ImportError:  # the walk oracle below needs no scipy
+    sp = spla = None
 
 
 def _resistance(lap, a: int, b: int, ground: int | None = None) -> float:
@@ -68,6 +80,8 @@ CASES = {
 
 @pytest.mark.parametrize("name, edge, r", CASES.values(), ids=CASES.keys())
 def test_scores_match_direct_solve(name, edge, r):
+    if sp is None:
+        pytest.skip("scipy is not installed")
     fam = make_family(name)
     e = OrientedEdge(*edge)
     window = edge_ball(fam, e, r)
@@ -76,3 +90,69 @@ def test_scores_match_direct_solve(name, edge, r):
     for value, expect in zip((got.star, got.diamond, got.hd),
                              direct_scores(window, e)):
         assert abs(value - expect) <= 1e-9
+
+
+def _neighbor_lists(window, wired: bool) -> list:
+    """Each vertex's neighbor indices, one entry per edge. Wired, vertex n
+    stands for the exterior, joined to each vertex v by full_degree(v) -
+    internal_degree(v) parallel edges."""
+    n = window.n_vertices
+    nbrs = [[] for _ in range(n + wired)]
+    for a, b in zip(window.edge_tails.tolist(), window.edge_heads.tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    if wired:
+        for v, d in enumerate(window.full_degree.tolist()):
+            missing = d - len(nbrs[v])
+            nbrs[v] += [n] * missing
+            nbrs[n] += [v] * missing
+    return nbrs
+
+
+def _first_entry_share(nbrs, tail: int, head: int, walks: int,
+                       rng: random.Random) -> float:
+    """Share of simple random walks from `head` whose first step into `tail`
+    comes from `head`. Wilson's algorithm rooted at `tail` starts its tree
+    with the loop erasure of such a walk, which ends with the step that
+    entered `tail`; so the share estimates P[tail-head edge in the tree]."""
+    rand = rng.random
+    hits = 0
+    for _ in range(walks):
+        x = head
+        while True:
+            nb = nbrs[x]
+            y = nb[int(rand() * len(nb))]
+            if y == tail:
+                break
+            x = y
+        hits += x == head
+    return hits / walks
+
+
+WALKS = 20_000
+WILSON_CASES = {
+    "z2-r4": ("z2", ((0, 0), (1, 0)), 4),
+    "z2-r8": ("z2", ((0, 0), (0, 1)), 8),
+    "ladder-r6": ("ladder", ((0, 0), (1, 0)), 6),
+    "comb-r6": ("comb", ((0, 0), (0, 1)), 6),
+    "tree3-r5": ("tree3", ((), (0,)), 5),
+}
+
+
+@pytest.mark.parametrize("name, edge, r", WILSON_CASES.values(),
+                         ids=WILSON_CASES.keys())
+def test_scores_match_wilson_sampling(name, edge, r):
+    fam = make_family(name)
+    e = OrientedEdge(*edge)
+    window = edge_ball(fam, e, r)
+    got = _edge_scores(fam, e, r)
+    tail, head = window.vertices.index(e.tail), window.vertices.index(e.head)
+    rng = random.Random(1996)
+    for wired, score in ((True, got.star), (False, 1.0 - got.diamond)):
+        est = _first_entry_share(_neighbor_lists(window, wired), tail, head,
+                                 WALKS, rng)
+        if score in (0.0, 1.0):
+            assert est == score
+        else:
+            sigma = math.sqrt(score * (1.0 - score) / WALKS)
+            assert abs(est - score) <= 5 * sigma, (wired, est, score)

@@ -82,6 +82,15 @@ def test_solve_zero_rhs(small_z2_window):
     assert np.all(v.values == 0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, np.inf, np.nan])
+def test_solve_rejects_tol_outside_unit_interval(small_z2_window, tol):
+    w = small_z2_window
+    for rhs in (np.zeros(w.n_vertices), np.eye(w.n_vertices)[0]):
+        with pytest.raises(ValueError, match="tol must be in"):
+            solve_laplacian(w, VertexFunction(w, rhs), LaplacianMode.EMBEDDED,
+                            tol=tol)
+
+
 def test_solver_failure_carries_report(small_z2_window, rng):
     w = small_z2_window
     rhs = rng.normal(size=w.n_vertices)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hodgedim import (FiniteWindow, InvalidWindowError, MissingEdgeError,
-                      OrientedEdge, SizeLimitError, ball, distance, edge_ball,
-                      family_edge, induced_window, make_family, neighborhood,
-                      origin_edge, same_window, sigma, window_from_json,
-                      window_to_json)
+                      OrientedEdge, SizeLimitError, VertexFunction, ball,
+                      distance, edge_ball, edge_indicator, family_edge,
+                      induced_window, make_family, neighborhood, origin_edge,
+                      same_window, sigma, transfer_edge_function,
+                      window_from_json, window_to_json)
 from hodgedim import windows
 
 
@@ -187,6 +188,20 @@ def test_edge_lookup_rejects_non_edges(z2):
         w.edge_lookup(OrientedEdge((0, 0), (1, 1)))
     with pytest.raises(MissingEdgeError):
         w.edge_lookup(OrientedEdge((0, 0), (9, 9)))
+
+
+def test_single_lookups_build_no_index(z2):
+    """Lookups of one vertex or edge bisect; only loops over many vertices
+    build the vertex -> index dict."""
+    small, large = ball(z2, (0, 0), 2), ball(z2, (0, 0), 4)
+    e = family_edge(z2, (1, 0), (0, 0))
+    u = edge_indicator(small, e)
+    assert u.at(e) == 1.0 and u.at(e.reversed()) == -1.0
+    assert VertexFunction(small, np.arange(small.n_vertices)).at((2, 0)) == \
+        small.vertices.index((2, 0))
+    moved = transfer_edge_function(u, large)
+    assert moved.at(e) == 1.0 and moved.values.sum() == -1.0
+    assert small._index is None and large._index is None
 
 
 def test_family_edge_validates(z2):
