@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hodgedim import (BUILTIN_FAMILY_NAMES, EdgeFunction, ball,
+from hodgedim import (BUILTIN_FAMILY_NAMES, EdgeFunction, ball, edge_ball,
                       edge_function_to_csv, encode_vertex, make_family,
-                      window_to_json)
+                      origin_edge, window_to_json)
 from hodgedim.cli import main as cli_main
 
 COR4_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
@@ -69,6 +69,13 @@ def scenarios(tmp: Path):
         yield f"decompose {name}", argv
         if fam == "diag_lattice":
             yield f"decompose {name} stdout", [*argv, "--out", "-"]
+    # a tree ball about two sources, whose vertex tuples are built only when
+    # the window JSON and the edge CSV ask for them
+    tree4 = make_family("tree4")
+    w = edge_ball(tree4, origin_edge(tree4), 5)
+    u = EdgeFunction(w, np.random.default_rng(10).normal(size=w.n_edges))
+    yield "decompose tree4 edge ball r=5 seed=10", _decompose(
+        tmp, "tree4 edge ball", w, edge_function_to_csv(u))
 
     z2 = make_family("z2")
     w = ball(z2, (0, 0), 3)

@@ -15,6 +15,12 @@ decomposition of the edge space:
                    exhaustion, an upper bound for the harmonic-Dirichlet
                    contribution. Nonincreasing in r.
 
+Solves stop at relative residual `tol`. The star score is read from a
+conjugate-gradient iterate started at zero, which only undershoots the
+exact projection score, so star is a lower bound at any `tol`. Diamond is 1
+minus a FREE score that undershoots in the same way, so at a loose `tol`
+diamond can overshoot its exact value and hd undershoot it.
+
 Averaging any of these over the edges of a finite window gives the window's
 normalized dimension trace for that subspace; the average of 1 is 1, which is
 the full-space row of the accounting. The Folner profile and the corollary

@@ -79,14 +79,14 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     n = window.n_vertices
     deg = _mode_degrees(window, mode)
     singular = bool(np.all(deg == window.internal_degree))
-    b = rhs.values.copy()
+    b = rhs.values
 
     if singular:
         drift = math.fsum(b.tolist())
         if abs(drift) > 1e-8 * max(1.0, float(np.abs(b).sum())):
             raise IncompatibleRhsError(
                 f"rhs sums to {drift:.3e}; a singular mode needs zero mean")
-        b -= drift / n
+        b = b - drift / n
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -102,19 +102,27 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     p = z.copy()
     rz = float(np.dot(r, z))
     relres = float(np.linalg.norm(r)) / bnorm
+    # Work buffers, written in place by every iteration: fresh temporaries of
+    # 10^5 floats and more are page-faulted in again on each one. Only the
+    # adjacency apply's bincount sums are still allocated (see
+    # `adjacency_apply`). The operations and their operands are those of the
+    # textbook loop. `tmp` holds A p, then alpha p, then alpha ap.
+    ap, tmp = np.empty(n), np.empty(n)
+    gathered = np.empty(window.n_edges)
     iterations = 0
     while relres > tol and iterations < max_iterations:
-        ap = deg * p - adjacency_apply(window, p)
+        adjacency_apply(window, p, out=tmp, gathered=gathered)
+        np.subtract(np.multiply(deg, p, out=ap), tmp, out=ap)  # deg p - A p
         alpha = rz / float(np.dot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
         iterations += 1
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:
             break
-        z = r * inv_deg
+        np.multiply(r, inv_deg, out=z)
         rz_next = float(np.dot(r, z))
-        p = z + (rz_next / rz) * p
+        np.add(z, np.multiply(rz_next / rz, p, out=p), out=p)
         rz = rz_next
 
     report = SolveReport(iterations, relres, relres <= tol)

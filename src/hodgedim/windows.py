@@ -13,7 +13,8 @@ arrays, not an adjacency matrix.
 This module also holds the package's graph searches: `bfs` for distance
 tables and neighborhoods, and the window builder behind `ball` and
 `induced_window` (a walk over vertex tuples, and an array kernel on integer
-word keys for trees).
+word keys for trees, whose windows keep the keys and build their vertex
+tuples only when asked).
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class FiniteWindow:
     """Sorted vertex list, canonical edge arrays, ambient degrees.
 
     Attributes:
-        vertices      tuple of vertex ids, sorted
+        vertices      tuple of vertex ids, sorted; a tree window from
+                      `_tree_window` holds its words as `_TreeWords` keys
+                      and builds the tuples on first use
         labels        `encode_vertex` of each vertex, built on first use
         edge_tails    int array, tail index of each canonical edge
         edge_heads    int array, head index (always > tail index)
@@ -62,11 +65,16 @@ class FiniteWindow:
 
     def __init__(self, vertices, edge_tails, edge_heads, full_degree,
                  check: bool = True):
-        self.vertices = tuple(vertices)
+        if isinstance(vertices, _TreeWords):
+            self._words, self._vertices = vertices, None
+            n = len(vertices)
+        else:
+            self._words, self._vertices = None, tuple(vertices)
+            n = len(self._vertices)
+        self._n_vertices = n
         self.edge_tails = np.asarray(edge_tails, dtype=np.int64)
         self.edge_heads = np.asarray(edge_heads, dtype=np.int64)
         self.full_degree = np.asarray(full_degree, dtype=np.int64)
-        n = len(self.vertices)
         if n == 0:
             raise InvalidWindowError("window has no vertices")
         if self.edge_tails.size == 0:
@@ -87,8 +95,14 @@ class FiniteWindow:
     # -- basic views -------------------------------------------------------
 
     @property
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            self._vertices = self._words.tuples()
+        return self._vertices
+
+    @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return self._n_vertices
 
     @property
     def n_edges(self) -> int:
@@ -136,7 +150,11 @@ class FiniteWindow:
     def bisect_index(self, x: VertexId) -> Optional[int]:
         """Index of x by bisecting the sorted vertices, or None. For one-off
         lookups: it builds no index dict, which on a ball of 10^5 vertices
-        costs more memory than the ball's arrays."""
+        costs more memory than the ball's arrays. A tree window searches its
+        word keys and builds no tuple. A vertex that is not a tuple raises
+        TypeError."""
+        if self._words is not None:
+            return self._words.find(x)
         i = bisect_left(self.vertices, x)
         return i if i < self.n_vertices and self.vertices[i] == x else None
 
@@ -168,9 +186,13 @@ class FiniteWindow:
 
     def _validate(self):
         n = self.n_vertices
-        if list(self.vertices) != sorted(self.vertices):
+        if self._words is not None:
+            # key order is word order, so sorted distinct keys suffice
+            if np.any(np.diff(self._words.keys) <= 0):
+                raise InvalidWindowError("window vertices must be sorted")
+        elif list(self.vertices) != sorted(self.vertices):
             raise InvalidWindowError("window vertices must be sorted")
-        if len(set(self.vertices)) != n:
+        elif len(set(self.vertices)) != n:
             raise InvalidWindowError("duplicate vertices in window")
         t, h = self.edge_tails, self.edge_heads
         if t.shape != h.shape:
@@ -207,15 +229,44 @@ class FiniteWindow:
 
 
 def same_window(a: FiniteWindow, b: FiniteWindow) -> bool:
-    return a is b or a.vertices == b.vertices
+    """True when both windows hold the same vertices. Two tree windows with
+    the same key encoding compare keys and build no tuples."""
+    if a is b:
+        return True
+    if a.n_vertices != b.n_vertices:
+        return False
+    ka, kb = a._words, b._words
+    if (ka is not None and kb is not None
+            and (ka.base, ka.width) == (kb.base, kb.width)):
+        return np.array_equal(ka.keys, kb.keys)
+    return a.vertices == b.vertices
 
 
-def adjacency_apply(window: FiniteWindow, x: np.ndarray) -> np.ndarray:
-    """A x for the window's adjacency matrix A, from its edge arrays."""
+def adjacency_apply(window: FiniteWindow, x: np.ndarray, out=None,
+                    gathered=None) -> np.ndarray:
+    """A x for the window's adjacency matrix A, from its edge arrays.
+
+    `out` (n_vertices floats) receives the result, and `gathered` (n_edges
+    floats) holds the values read across the edges; a caller that applies A
+    many times passes both.
+    """
     n = window.n_vertices
     t, h = window.edge_tails, window.edge_heads
-    return (np.bincount(t, weights=x[h], minlength=n)
-            + np.bincount(h, weights=x[t], minlength=n))
+    if out is None:
+        out = np.empty(n)
+    if gathered is None:
+        gathered = np.empty(t.size)
+    # np.bincount cannot write into a given array. Each of its two sums is
+    # added into `out` and freed before the next is made: glibc's malloc
+    # reuses one freed n-vector but trims two from the top of its heap, and
+    # a solve on 10^5 vertices then page-faults them in on every iteration.
+    # "clip" skips the bounds check of the default "raise", and changes no
+    # value: edge indices lie in [0, n) by construction.
+    np.copyto(out, np.bincount(t, weights=x.take(h, out=gathered, mode="clip"),
+                               minlength=n))
+    out += np.bincount(h, weights=x.take(t, out=gathered, mode="clip"),
+                       minlength=n)
+    return out
 
 
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
@@ -338,7 +389,10 @@ def _tree_window(d: int, sources: list, radius: int,
     The walk expands one whole layer at a time. A neighbor of a vertex at
     distance t lies at distance t-1, t or t+1, so only the previous layer
     and the current one are checked for repeats. Edges are the (parent,
-    child) pairs with both keys present, found with one `searchsorted`.
+    child) pairs with both keys present, found with one `searchsorted`. The
+    window keeps the keys (`_TreeWords`) and builds no vertex tuple until
+    one is asked for: the score path reads only the edge arrays and finds
+    its endpoints in the keys.
 
     Raises InvalidWindowError for a source that is not a word of the tree.
     Returns None when W, the longest source word plus the radius, makes keys
@@ -386,34 +440,83 @@ def _tree_window(d: int, sources: list, radius: int,
     keys = np.concatenate(layers)
     step = keys.argsort()
     keys = keys[step]
-    length = np.concatenate(lengths)[step]
+    words = _TreeWords(keys, np.concatenate(lengths)[step].astype(np.uint8),
+                       base, width)
     del layers, lengths, step
-    u = unit[length]
-    digit = keys // u % base
-    up = keys - digit * u
-    del u
-    # a parent key is never larger than its child's, so `parent` is in range
-    parent = np.searchsorted(keys, up)
-    parent[(length == 0) | (keys[parent] != up)] = -1
-    del up
+    parent, _ = words.parents()
     heads = np.flatnonzero(parent >= 0)
     tails = parent[heads]
+    del parent
     # heads ascend, so a stable sort by tail orders edges by (tail, head)
     step = tails.argsort(kind="stable")
     tails, heads = tails[step], heads[step]
     del step
-    # Tuples are built in sorted order, each from its parent's tuple (built
-    # before it) and its last letter. A vertex whose parent is outside the
-    # window (the root, the top of each component) is decoded from its key.
-    tops = {i: _decode_word(int(keys[i]), base, width)
-            for i in np.flatnonzero(parent < 0).tolist()}
-    del keys, length
-    vertices = []
-    for up, a in zip(parent.tolist(), (digit - 1).tolist()):
-        vertices.append(vertices[up] + (a,) if up >= 0 else tops[len(vertices)])
-    del parent, digit
-    return FiniteWindow(vertices, tails, heads,
-                        np.full(n, d, dtype=np.int64), check=check)
+    return FiniteWindow(words, tails, heads, np.full(n, d, dtype=np.int64),
+                        check=check)
+
+
+class _TreeWords:
+    """The sorted vertices of a tree window as `_tree_window` keys, with the
+    length of each word, the digit base and the key width: all that finding
+    a word and building the vertex tuples need."""
+
+    __slots__ = ("keys", "length", "base", "width")
+
+    def __init__(self, keys: np.ndarray, length: np.ndarray, base: int,
+                 width: int):
+        self.keys, self.length = keys, length
+        self.base, self.width = base, width
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def find(self, x: VertexId) -> Optional[int]:
+        """Index of the word x, or None; TypeError if x is not a tuple."""
+        if not isinstance(x, tuple):
+            raise TypeError(f"vertex {x!r} is not a tuple")
+        if len(x) > self.width or not _is_word(self.base - 1, x):
+            return None
+        key = _encode_word(x, self.base, self.width)
+        i = int(np.searchsorted(self.keys, key))
+        return i if i < self.keys.size and self.keys[i] == key else None
+
+    def parents(self):
+        """The index of each word's parent (-1 for the root and for a word
+        whose parent is not in the window), and each word's last digit."""
+        keys, base = self.keys, self.base
+        # place value of each word's last letter (the root's digit is 0)
+        unit = base ** np.arange(self.width, -1, -1, dtype=np.int64)
+        u = unit[self.length]
+        digit = keys // u % base
+        up = keys - digit * u
+        del u
+        # a parent key is never larger than its child's, so `parent` is in
+        # range
+        parent = np.searchsorted(keys, up)
+        parent[(self.length == 0) | (keys[parent] != up)] = -1
+        return parent, digit
+
+    def tuples(self) -> tuple:
+        """The words as tuples, in key order. Each is built from its
+        parent's tuple (built before it) and its last letter; a word whose
+        parent is outside the window (the root, the top of each component)
+        is decoded from its key."""
+        keys, base, width = self.keys, self.base, self.width
+        parent, digit = self.parents()
+        tops = {i: _decode_word(int(keys[i]), base, width)
+                for i in np.flatnonzero(parent < 0).tolist()}
+        vertices = []
+        for up, a in zip(parent.tolist(), (digit - 1).tolist()):
+            vertices.append(vertices[up] + (a,) if up >= 0
+                            else tops[len(vertices)])
+        return tuple(vertices)
+
+
+def _is_word(d: int, x) -> bool:
+    """Whether x is a word of the d-regular tree."""
+    return (type(x) is tuple and all(type(a) is int for a in x)
+            and (not x or 0 <= x[0] < d)
+            and all(0 <= a < d - 1 for a in x[1:]))
 
 
 def _check_words(d: int, xs: Iterable) -> None:
@@ -421,9 +524,7 @@ def _check_words(d: int, xs: Iterable) -> None:
     d-regular tree. Off the words the tree rule is not symmetric: it lists
     () as a neighbour of (5,) in tree3, but not the reverse."""
     for x in xs:
-        if not (type(x) is tuple and all(type(a) is int for a in x)
-                and (not x or 0 <= x[0] < d)
-                and all(0 <= a < d - 1 for a in x[1:])):
+        if not _is_word(d, x):
             raise InvalidWindowError(f"{x} is not a vertex of tree{d}")
 
 

@@ -241,6 +241,26 @@ def test_tol_outside_unit_interval(capsys, argv, tol):
     assert err == "hodgedim: configuration error: --tol must be in (0, 1)\n"
 
 
+def test_loose_tol_bounds_star_only(capsys):
+    """A CG iterate started at zero undershoots each score it solves for. At
+    a loose --tol star stays below its tight value, while diamond, which is
+    1 minus an undershooting free score, can rise above it."""
+    scores = {}
+    for tol in ("0.1", "1e-10"):
+        code, out, _ = run_cli(capsys, "scores", "--family", "z2",
+                               "--radii", "1,2,4", "--tol", tol)
+        assert code == 0
+        scores[tol] = [(float(row[4]), float(row[5]))
+                       for row in parse_csv(out)[1]]
+    for (star, diamond), (star_tight, diamond_tight) in zip(
+            scores["0.1"], scores["1e-10"]):
+        assert star <= star_tight
+        assert diamond >= diamond_tight
+    # the overshoot README quotes, at r=4
+    assert scores["0.1"][2][1] == pytest.approx(0.5139, abs=5e-5)
+    assert scores["1e-10"][2][1] == pytest.approx(0.4869, abs=5e-5)
+
+
 def test_numeric_failure_exit_code(monkeypatch, capsys):
     import hodgedim.cli as cli_mod
 

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hodgedim import (FiniteWindow, InvalidWindowError, MissingEdgeError,
-                      OrientedEdge, SizeLimitError, VertexFunction, ball,
-                      distance, edge_ball, edge_indicator, family_edge,
+from hodgedim import (FiniteWindow, InvalidWindowError, LaplacianMode,
+                      MissingEdgeError, OrientedEdge, SizeLimitError,
+                      VertexFunction, ball, distance, edge_ball,
+                      edge_indicator, encode_vertex, family_edge,
                       induced_window, make_family, neighborhood, origin_edge,
-                      same_window, sigma, transfer_edge_function,
-                      window_from_json, window_to_json)
+                      project_star, same_window, sigma,
+                      transfer_edge_function, window_from_json,
+                      window_to_json)
 from hodgedim import windows
 
 
@@ -202,6 +205,91 @@ def test_single_lookups_build_no_index(z2):
     moved = transfer_edge_function(u, large)
     assert moved.at(e) == 1.0 and moved.values.sum() == -1.0
     assert small._index is None and large._index is None
+
+
+@pytest.mark.parametrize("name", ["tree3", "tree4"])
+@pytest.mark.parametrize("built", [False, True])
+def test_tree_window_lookups(name, built):
+    """A tree window finds vertices in its word keys, with the contract of
+    bisecting its tuples, before and after the tuples are built."""
+    fam = make_family(name)
+    e = origin_edge(fam)
+    w = edge_ball(fam, e, 6)
+    assert w._vertices is None
+    tuples = neighborhood(fam, e, 6)
+    if built:
+        assert w.vertices == tuples
+    for bad in (5, None, [0], "()"):
+        with pytest.raises(TypeError):
+            w.vertex_index(bad)
+        with pytest.raises(TypeError):
+            w.edge_lookup(OrientedEdge(bad, ()))
+        with pytest.raises(TypeError):
+            w.edge_lookup(OrientedEdge((), bad))
+    deepest = max(tuples, key=len)
+    assert len(deepest) == 1 + 6  # the key width: longest source plus radius
+    far = (0,) * len(deepest)  # a word of the key width, outside the ball
+    for off in ((5,), (0, fam.tree_degree - 1), deepest + (0,), far):
+        assert w.bisect_index(off) is None
+        with pytest.raises(InvalidWindowError):
+            w.vertex_index(off)
+    for x in ((), e.head, deepest):
+        assert w.bisect_index(x) == bisect_left(tuples, x) == w.vertex_index(x)
+        assert tuples[w.vertex_index(x)] == x
+    assert w.edge_lookup(e.reversed())[1] == -1
+    assert (w._vertices is None) == (not built)
+
+
+def _multi_source_balls(fam):
+    """Balls about word sets of different lengths, connected by their
+    radius."""
+    for sources in ([(0, 1, 1), (0,), (2, 0, 0, 1)], [(1,), (1, 0, 1, 0)]):
+        for r in (3, 4, 6):
+            yield sources, r, ball(fam, sources, r)
+
+
+@pytest.mark.parametrize("name", ["tree3", "tree4"])
+def test_lazy_tree_vertices_match_bfs(name):
+    """Tuples built from the keys, and everything made from them, equal an
+    independent walk over tuples: `bfs` on the tree rule, and the tuple-walk
+    window builder."""
+    fam = make_family(name)
+    e = origin_edge(fam)
+    for r in range(1, 11):  # up to 177,146 vertices on tree4
+        assert edge_ball(fam, e, r).vertices == neighborhood(fam, e, r)
+    cases = [(e, r, edge_ball(fam, e, r)) for r in range(1, 9)]
+    cases += list(_multi_source_balls(fam))
+    for sources, r, w in cases:
+        assert w._vertices is None
+        walk = neighborhood(fam, sources, r)
+        assert w.vertices == walk
+        assert w.labels == [encode_vertex(x) for x in walk]
+        assert w.index == {x: i for i, x in enumerate(walk)}
+        assert window_to_json(w) == window_to_json(
+            ball(_tuple_walk(fam), sources, r))
+
+
+def test_tree_score_path_builds_no_tuples(tree3):
+    e = origin_edge(tree3)
+    w = edge_ball(tree3, e, 12)
+    u = edge_indicator(w, e)
+    for mode in LaplacianMode:
+        project_star(w, u, mode)
+    assert w._vertices is None and w._index is None
+
+
+def test_same_window_compares_tree_keys(tree3):
+    e = origin_edge(tree3)
+    a, b = edge_ball(tree3, e, 5), edge_ball(tree3, e.reversed(), 5)
+    assert same_window(a, b)
+    assert not same_window(a, edge_ball(tree3, e, 4))
+    assert not same_window(a, ball(tree3, [(0,), ()], 5))
+    assert a._vertices is None and b._vertices is None
+    # keys in another base, or tuples, compare as tuples
+    pair = [(), (0,)]
+    assert same_window(induced_window(tree3, pair),
+                       induced_window(make_family("tree4"), pair))
+    assert same_window(a, ball(_tuple_walk(tree3), [e.tail, e.head], 5))
 
 
 def test_family_edge_validates(z2):
