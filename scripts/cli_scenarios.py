@@ -50,6 +50,9 @@ def scenarios(tmp: Path):
     for fam in QI_FAMILIES:
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]
+    # the largest windows of the qi_battery benchmark workload
+    yield "qicheck z2 radii 5,6", ["qicheck", "--family", "z2",
+                                   "--window-radii", "5,6"]
     # flags that select nothing: --jobs, and --tol where nothing is solved
     yield "scores z2 --jobs 3", ["scores", "--family", "z2", "--radii", "1..8",
                                  "--jobs", "3"]

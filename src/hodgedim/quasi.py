@@ -39,7 +39,8 @@ from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, make_family
 from .solver import LaplacianMode, project_star
-from .windows import FiniteWindow, ball, bfs, distance, neighborhood
+from .windows import (FiniteWindow, IdGraph, ball, bfs, distance_rows,
+                      neighborhood)
 
 
 @dataclass(frozen=True)
@@ -93,40 +94,44 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow,
 
     violations lists the pairs (x, y, d, d') that break the *claimed*
     distortion; pairs whose distance query passes `cutoff` land in
-    `inconclusive` instead of being silently dropped.
+    `inconclusive` instead of being silently dropped, with None for each
+    distance not found. Both list the pairs x < y in vertex order.
     """
     verts = window.vertices
-    vert_set = frozenset(verts)
-    src_dist = {x: bfs(f.source, [x], cutoff, targets=vert_set)
-                for x in verts}
-    images = {x: f(x) for x in verts}
-    image_set = frozenset(images.values())
-    tgt_dist = {img: bfs(f.target, [img], cutoff, targets=image_set)
-                for img in image_set}
+    graph = IdGraph(f.source)
+    dist = distance_rows(f.source, verts, verts, cutoff, graph)
+    images = [f(x) for x in verts]
+    distinct = list(dict.fromkeys(images))
+    where = {y: j for j, y in enumerate(distinct)}
+    pos = np.array([where[y] for y in images], dtype=np.int64)
+    # an endomap's image rows reuse the neighbours the source rows fetched
+    image_dist = distance_rows(f.target, distinct, distinct, cutoff,
+                               graph if f.target == f.source else None)
 
+    xs, ys = np.triu_indices(len(verts), 1)
+    d = dist[xs, ys]
+    dp = image_dist[pos[xs], pos[ys]]
+    known = (d >= 0) & (dp >= 0)
+    dk, dpk = d[known], dp[known]
+    # smallest integer k with d' <= k d and (1/k) d - 1 <= d'; d >= 1, as
+    # the pair's vertices differ
+    k_pair = np.maximum(-(-dpk // dk), -(-dk // (dpk + 1)))
+    k_needed = int(k_pair.max(initial=1))
     kc = f.claimed_distortion
-    k_needed = 1
-    violations = []
-    inconclusive = []
-    for i, x in enumerate(verts):
-        dx = src_dist[x]
-        dfx = tgt_dist[images[x]]
-        for y in verts[i + 1:]:
-            d = dx.get(y)
-            dp = dfx.get(images[y])
-            if d is None or dp is None:
-                inconclusive.append((x, y, d, dp))
-                continue
-            # smallest integer k with d' <= k d and (1/k) d - 1 <= d'
-            k_pair = max(-(-dp // d), -(-d // (dp + 1)))
-            k_needed = max(k_needed, k_pair)
-            if dp > kc * d or d / kc - 1 > dp:
-                violations.append((x, y, d, dp))
+    broken = np.zeros_like(known)
+    broken[known] = (dpk > kc * dk) | (dk / kc - 1 > dpk)
+
+    def pairs(mask):
+        k = np.flatnonzero(mask)
+        return tuple((verts[i], verts[j], None if a < 0 else a,
+                      None if b < 0 else b)
+                     for i, j, a, b in zip(xs[k].tolist(), ys[k].tolist(),
+                                           d[k].tolist(), dp[k].tolist()))
 
     return DistortionReport(k_est=k_needed,
                             density_gap=_density_gap(f, window, cutoff),
-                            violations=tuple(violations),
-                            inconclusive=tuple(inconclusive))
+                            violations=pairs(broken),
+                            inconclusive=pairs(~known))
 
 
 def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
@@ -159,13 +164,14 @@ def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
     if not f.is_endomap:
         raise IncompatibleDomainError(
             "displacement needs source and target to coincide")
+    graph = IdGraph(f.source)
     worst = 0
     for x in window.vertices:
         fx = f(x)
         if fx == x:
             continue
-        d = distance(f.source, x, fx, cutoff)
-        if d is None:
+        d = int(distance_rows(f.source, [x], [fx], cutoff, graph)[0, 0])
+        if d < 0:
             raise CutoffExceededError(
                 f"displacement of {x} exceeds cutoff {cutoff}")
         worst = max(worst, d)
@@ -342,24 +348,23 @@ def nearest_preimage(f: QuasiMap, source_window: FiniteWindow,
                      targets: Iterable[VertexId], cutoff: int = 64) -> dict:
     """Map each target vertex to the source vertex whose image is nearest,
     ties broken by vertex id order. The standard coarse inverse."""
-    image_of = {}
+    # window vertices are sorted, so the first preimage met is the smallest
+    first = {}
     for x in source_window.vertices:
-        image_of.setdefault(f(x), []).append(x)
+        first.setdefault(f(x), x)
+    # images ordered by their smallest preimage: argmin then breaks ties
+    images = sorted(first, key=first.__getitem__)
+    targets = list(targets)
+    dist = distance_rows(f.target, targets, images, cutoff)
+    unreached = np.iinfo(np.int64).max
+    dist[dist < 0] = unreached
     out = {}
-    for y in targets:
-        dist = bfs(f.target, [y], cutoff, targets=image_of.keys())
-        best = None
-        for img, xs in image_of.items():
-            d = dist.get(img)
-            if d is None:
-                continue
-            cand = (d, min(xs))
-            if best is None or cand < best:
-                best = cand
-        if best is None:
+    for y, row in zip(targets, dist):
+        j = int(row.argmin())
+        if row[j] == unreached:
             raise CutoffExceededError(
                 f"no image point within {cutoff} of {y}")
-        out[y] = best[1]
+        out[y] = first[images[j]]
     return out
 
 

@@ -10,11 +10,12 @@ by construction.
 Construction is matrix-free friendly: edges live in two parallel numpy index
 arrays, not an adjacency matrix.
 
-This module also holds the package's graph searches: `bfs` for distance
-tables and neighborhoods, and the window builder behind `ball` and
-`induced_window` (a walk over vertex tuples, and an array kernel on integer
-word keys for trees, whose windows keep the keys and build their vertex
-tuples only when asked).
+This module also holds the package's graph searches: one distance BFS on
+integer vertex ids (`IdGraph`), behind `bfs` for distance tables and
+neighborhoods and `distance_rows` for the tables of many sources at once;
+and the window builder behind `ball` and `induced_window` (a walk over
+vertex tuples, and an array kernel on integer word keys for trees, whose
+windows keep the keys and build their vertex tuples only when asked).
 """
 
 from __future__ import annotations
@@ -269,9 +270,77 @@ def adjacency_apply(window: FiniteWindow, x: np.ndarray, out=None,
     return out
 
 
+class IdGraph:
+    """A family's vertices numbered 0, 1, ... in the order first met, with
+    the neighbour ids of each vertex fetched on first use: `family.neighbors`
+    runs at most once per vertex for the life of the graph, however many
+    searches share it.
+
+    Attributes:
+        index      vertex -> id
+        vertices   id -> vertex
+        adjacent   id -> list of neighbour ids, None until fetched
+    """
+
+    __slots__ = ("neighbors", "index", "vertices", "adjacent")
+
+    def __init__(self, family: GraphFamily):
+        self.neighbors = family.neighbors
+        self.index = {}
+        self.vertices = []
+        self.adjacent = []
+
+    def ids(self, xs: Iterable[VertexId]) -> list:
+        """The id of each of `xs`, numbering the vertices not met before."""
+        index, vertices, out = self.index, self.vertices, []
+        for x in xs:
+            i = index.get(x)
+            if i is None:
+                i = index[x] = len(vertices)
+                vertices.append(x)
+                self.adjacent.append(None)
+            out.append(i)
+        return out
+
+    def fetch(self, i: int) -> list:
+        """Fetch and number the neighbours of the vertex with id i."""
+        nb = self.adjacent[i] = self.ids(self.neighbors(self.vertices[i]))
+        return nb
+
+
+def _search(graph: IdGraph, sources: list, depth: int,
+            targets: Optional[list]) -> dict:
+    """The package's one distance BFS, on ids: id -> distance, in discovery
+    order. With `targets`, stops after the first complete layer containing
+    the last of them. Runs `_check_size` on the table after each layer."""
+    dist = dict.fromkeys(sources, 0)
+    _check_size(len(dist))
+    todo = None if targets is None else set(targets).difference(dist)
+    adjacent, fetch = graph.adjacent, graph.fetch
+    frontier = list(dist)
+    for d in range(1, depth + 1):
+        if not frontier or (todo is not None and not todo):
+            break
+        nxt = []
+        for x in frontier:
+            nb = adjacent[x]
+            if nb is None:
+                nb = fetch(x)
+            for y in nb:
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        _check_size(len(dist))
+        if todo is not None:
+            todo.difference_update(nxt)
+        frontier = nxt
+    return dist
+
+
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
         targets: Optional[Iterable[VertexId]] = None) -> dict:
-    """Graph distance from the source set to every vertex within `depth`.
+    """Graph distance from the source set to every vertex within `depth`,
+    in discovery order.
 
     With `targets`, stop after the first complete layer containing the last
     of them; layers are never cut short, so every vertex at distance <= the
@@ -281,30 +350,40 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     """
     if depth < 0:
         raise InvalidWindowError("radius must be >= 0")
-    dist = dict.fromkeys(sources, 0)
-    _check_size(len(dist))
-    todo = None if targets is None else set(targets)
+    graph = IdGraph(family)
+    src = graph.ids(sources)
+    tgt = None if targets is None else graph.ids(targets)
     if family.tree_degree:
-        _check_words(family.tree_degree, dist)
-        _check_words(family.tree_degree, todo or ())
-    if todo is not None:
-        todo.difference_update(dist)
-    neighbors = family.neighbors
-    frontier = list(dist)
-    for d in range(1, depth + 1):
-        if not frontier or (todo is not None and not todo):
-            break
-        nxt = []
-        for x in frontier:
-            for y in neighbors(x):
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-            _check_size(len(dist))
-        if todo is not None:
-            todo.difference_update(nxt)
-        frontier = nxt
-    return dist
+        # the sources and targets are the only vertices numbered so far
+        _check_words(family.tree_degree, graph.vertices)
+    vertices = graph.vertices
+    return {vertices[i]: d for i, d in _search(graph, src, depth, tgt).items()}
+
+
+def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
+                  targets: Iterable[VertexId], depth: int,
+                  graph: Optional[IdGraph] = None) -> np.ndarray:
+    """int64 matrix whose row i holds, for each target, what
+    `bfs(family, [sources[i]], depth, targets)` gives for it, and -1 where
+    that search does not reach it.
+
+    The rows share `graph` (a new `IdGraph` of the family when None), so each
+    vertex's neighbours are fetched once for all of them. Each row's table is
+    checked against `DEFAULT_SIZE_CAP` on its own.
+    """
+    if depth < 0:
+        raise InvalidWindowError("radius must be >= 0")
+    sources, targets = list(sources), list(targets)
+    if family.tree_degree:
+        _check_words(family.tree_degree, sources + targets)
+    if graph is None:
+        graph = IdGraph(family)
+    tgt = graph.ids(targets)
+    out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
+    for row, s in zip(out, graph.ids(sources)):
+        dist = _search(graph, [s], depth, tgt)
+        row[:] = [dist.get(t, -1) for t in tgt]
+    return out
 
 
 def _grow_window(family: GraphFamily, sources: list, radius: int,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,52 @@ def test_edge_indicator_unit_norm(small_z2_window):
     e = family_edge(make_family("z2"), (0, 1), (0, 0))
     u = edge_indicator(small_z2_window, e)
     assert inner(u, u) == approx(1.0)
+
+
+def _full_fsum(u, w):
+    """`inner` as it summed every pointwise product, zeros included."""
+    try:
+        return math.fsum((u.values * w.values).tolist())
+    except ValueError as exc:  # inf + -inf
+        return str(exc)
+
+
+def test_inner_skipping_zeros_is_bitwise_the_full_fsum(small_z2_window, rng):
+    w = small_z2_window
+    m = w.n_edges
+    e = family_edge(make_family("z2"), (0, 1), (0, 0))
+    unit = edge_indicator(w, e).values
+    signed_zeros = np.where(np.arange(m) % 2 == 0, 0.0, -0.0)
+    spread = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, size=m)
+    big = np.where(np.arange(m) % 3 == 0, 1e200, 0.0)
+    cases = [
+        (signed_zeros, signed_zeros),
+        (signed_zeros, -signed_zeros),
+        (-np.abs(signed_zeros), np.ones(m)),
+        (np.zeros(m), rng.normal(size=m)),
+        (unit, rng.normal(size=m)),
+        (unit, spread),
+        (spread, spread),
+        (np.array([1.0, -1.0] + [-0.0] * (m - 2)), np.ones(m)),
+        (big, big),
+        (big, -big),
+        (big, np.where(np.arange(m) == 0, -1e200, 1e200)),
+    ]
+    results = []
+    with np.errstate(over="ignore"):  # 1e200 * 1e200 overflows to inf
+        for a, b in cases:
+            u, v = EdgeFunction(w, a), EdgeFunction(w, b)
+            try:
+                got = inner(u, v)
+            except ValueError as exc:
+                got = str(exc)
+            want = _full_fsum(u, v)
+            assert type(got) is type(want)
+            if isinstance(want, float):
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want
+            results.append(got)
+    assert results[-3:] == [math.inf, -math.inf, "-inf + inf in fsum"]
 
 
 def test_energy_is_differential_norm(small_z2_window, rng):

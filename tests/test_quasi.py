@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from hodgedim import (CutoffExceededError, EdgeFunction, IncompatibleDomainError,
-                      InsufficientWindowError, QuasiMap, VertexFunction, ball,
-                      builtin_maps, differential, distortion_estimate,
-                      family_edge, inner, lemma5_check, lemma5_constant,
-                      lemma6_check, lemma6_constant, lex_min_path, make_family,
-                      nearest_preimage, pullback, star_membership_residual,
-                      suite_row, wobbling_displacement)
+from hodgedim import (CutoffExceededError, DistortionReport, EdgeFunction,
+                      IncompatibleDomainError, InsufficientWindowError,
+                      InvalidWindowError, QuasiMap, SizeLimitError,
+                      VertexFunction, ball, builtin_maps, differential,
+                      distortion_estimate, family_edge, inner, lemma5_check,
+                      lemma5_constant, lemma6_check, lemma6_constant,
+                      lex_min_path, make_family, nearest_preimage, pullback,
+                      star_membership_residual, suite_row,
+                      wobbling_displacement)
+from hodgedim import quasi, windows
 
 
 def _map(name, fam):
@@ -67,6 +70,92 @@ def test_small_cutoff_is_inconclusive_not_wrong(z2):
     assert rep.k_est >= 1
 
 
+QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
+
+
+def _reference_distortion(f, window, cutoff):
+    """`distortion_estimate` as a per-vertex loop: one `bfs` table per
+    window vertex and per image, and the pairs checked one at a time."""
+    verts = window.vertices
+    vert_set = frozenset(verts)
+    src_dist = {x: windows.bfs(f.source, [x], cutoff, targets=vert_set)
+                for x in verts}
+    images = {x: f(x) for x in verts}
+    image_set = frozenset(images.values())
+    tgt_dist = {img: windows.bfs(f.target, [img], cutoff, targets=image_set)
+                for img in image_set}
+    kc = f.claimed_distortion
+    k_needed = 1
+    violations = []
+    inconclusive = []
+    for i, x in enumerate(verts):
+        dx = src_dist[x]
+        dfx = tgt_dist[images[x]]
+        for y in verts[i + 1:]:
+            d = dx.get(y)
+            dp = dfx.get(images[y])
+            if d is None or dp is None:
+                inconclusive.append((x, y, d, dp))
+                continue
+            k_pair = max(-(-dp // d), -(-d // (dp + 1)))
+            k_needed = max(k_needed, k_pair)
+            if dp > kc * d or d / kc - 1 > dp:
+                violations.append((x, y, d, dp))
+    return DistortionReport(k_est=k_needed,
+                            density_gap=quasi._density_gap(f, window, cutoff),
+                            violations=tuple(violations),
+                            inconclusive=tuple(inconclusive))
+
+
+def _same_report(f, window, cutoff):
+    got = distortion_estimate(f, window, cutoff)
+    want = _reference_distortion(f, window, cutoff)
+    # repr tells 1 from 1.0 and np.int64(1), and keeps the pair order
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("name", QI_FAMILIES)
+def test_distortion_matches_per_vertex_loop(name):
+    fam = make_family(name)
+    for f in builtin_maps(fam):
+        for r in (1, 2, 3, 4, 5, 6) if name == "z2" else (1, 2, 3, 4):
+            w = ball(fam, fam.origin, r)
+            k = math.ceil(f.claimed_distortion)
+            _same_report(f, w, 2 * k * (r + 2) + 4)  # suite_row's cutoff
+            if 2 <= r <= 3:
+                assert _same_report(f, w, 2).inconclusive
+
+
+def test_distortion_matches_per_vertex_loop_on_bad_maps(z2):
+    bad = QuasiMap("bad_coarsen", z2, z2,
+                   lambda x: (x[0] // 2, x[1] // 2), 1.0)
+    assert _same_report(bad, ball(z2, (0, 0), 4), 20).violations
+    z1 = make_family("z1")
+    double = QuasiMap("double", z1, z1, lambda x: (2 * x[0],), 2.0)
+    assert _same_report(double, ball(z1, (0,), 5), 30).density_gap == 1
+    # a claimed distortion given as an int
+    shift = QuasiMap("shift", z2, z2, lambda x: (x[0] + 3, x[1]), 2)
+    _same_report(shift, ball(z2, (0, 0), 3), 20)
+
+
+def test_distortion_errors_match_per_vertex_loop(monkeypatch, z2, tree3):
+    # 13 vertices, but the table of a corner reaches the far corner only
+    # after 41
+    w = ball(z2, (0, 0), 2)
+    f = _map("translation", z2)
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 20)
+    for estimate in (distortion_estimate, _reference_distortion):
+        with pytest.raises(SizeLimitError):
+            estimate(f, w, 20)
+    monkeypatch.undo()
+    # () goes to (5,), which is not a word of tree3
+    off = QuasiMap("off", tree3, tree3, lambda x: x if x else (5,), 1.0)
+    for estimate in (distortion_estimate, _reference_distortion):
+        with pytest.raises(InvalidWindowError):
+            estimate(off, ball(tree3, (), 2), 20)
+
+
 def test_lex_min_path(z2):
     p = lex_min_path(z2, (0, 0), (2, 1), 10)
     assert p[0] == (0, 0) and p[-1] == (2, 1)
@@ -94,6 +183,13 @@ def test_wobble(z2):
     w = ball(z2, (0, 0), 2)
     assert wobbling_displacement(_map("identity", z2), w) == 0
     assert wobbling_displacement(_map("translation", z2), w) == 1
+    coarsen = _map("coarsen", z2)
+    w = ball(z2, (0, 0), 4)
+    shifts = [windows.distance(z2, x, coarsen(x), 8) for x in w.vertices]
+    assert wobbling_displacement(coarsen, w) == max(shifts) == 3
+    with pytest.raises(CutoffExceededError,
+                       match=r"^displacement of \(-4, 0\) exceeds cutoff 1$"):
+        wobbling_displacement(coarsen, w, cutoff=1)
 
 
 def test_wobble_needs_endomap(z2):
@@ -240,6 +336,42 @@ def test_nearest_preimage_identity(z2):
     w = ball(z2, (0, 0), 2)
     got = nearest_preimage(f, w, [(0, 0), (1, 1)])
     assert got == {(0, 0): (0, 0), (1, 1): (1, 1)}
+
+
+def _reference_preimage(f, source_window, targets, cutoff):
+    """`nearest_preimage` as one `bfs` per target."""
+    image_of = {}
+    for x in source_window.vertices:
+        image_of.setdefault(f(x), []).append(x)
+    out = {}
+    for y in targets:
+        dist = windows.bfs(f.target, [y], cutoff, targets=image_of.keys())
+        best = None
+        for img, xs in image_of.items():
+            d = dist.get(img)
+            if d is not None and (best is None or (d, min(xs)) < best):
+                best = (d, min(xs))
+        if best is None:
+            raise CutoffExceededError(f"no image point within {cutoff} of {y}")
+        out[y] = best[1]
+    return out
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "diag_lattice", "tree3"])
+def test_nearest_preimage_matches_per_target_loop(name):
+    fam = make_family(name)
+    for f in builtin_maps(fam):
+        w = ball(fam, fam.origin, 3)
+        targets = ball(f.target, f.target.origin, 5).vertices[::-1]
+        got = nearest_preimage(f, w, targets, 6)
+        assert list(got.items()) == list(
+            _reference_preimage(f, w, targets, 6).items())
+        messages = []
+        for inverse in (nearest_preimage, _reference_preimage):
+            with pytest.raises(CutoffExceededError) as exc:
+                inverse(f, w, targets, 1)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 def test_builtin_map_coverage():

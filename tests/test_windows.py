@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hodgedim import (FiniteWindow, InvalidWindowError, LaplacianMode,
-                      MissingEdgeError, OrientedEdge, SizeLimitError,
-                      VertexFunction, ball, distance, edge_ball,
-                      edge_indicator, encode_vertex, family_edge,
-                      induced_window, make_family, neighborhood, origin_edge,
-                      project_star, same_window, sigma,
-                      transfer_edge_function, window_from_json,
+from hodgedim import (BUILTIN_FAMILY_NAMES, FiniteWindow, InvalidWindowError,
+                      LaplacianMode, MissingEdgeError, OrientedEdge,
+                      SizeLimitError, VertexFunction, ball, distance,
+                      edge_ball, edge_indicator, encode_vertex, family_edge,
+                      family_from_window, induced_window, make_family,
+                      neighborhood, origin_edge, project_star, same_window,
+                      sigma, transfer_edge_function, window_from_json,
                       window_to_json)
 from hodgedim import windows
 
@@ -383,6 +383,79 @@ def test_size_cap_holds_for_every_search(monkeypatch, z2, tree3):
         neighborhood(z2, [(0, 0)], 40)
     with pytest.raises(SizeLimitError):
         neighborhood(z2, box + [(10, 0)], 0)
+
+
+def _tuple_bfs(family, sources, depth, targets=None):
+    """The tuple-walk `bfs` that the id search replaced, kept as its
+    reference."""
+    dist = dict.fromkeys(sources, 0)
+    todo = None if targets is None else set(targets)
+    if todo is not None:
+        todo.difference_update(dist)
+    frontier = list(dist)
+    for d in range(1, depth + 1):
+        if not frontier or (todo is not None and not todo):
+            break
+        nxt = []
+        for x in frontier:
+            for y in family.neighbors(x):
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        if todo is not None:
+            todo.difference_update(nxt)
+        frontier = nxt
+    return dist
+
+
+def _bfs_cases(fam):
+    """(sources, depth, targets) on a family: one and several sources, with
+    and without targets, targets out of reach, a finite family run dry."""
+    o = fam.origin
+    near = fam.neighbors(o)
+    far = neighborhood(fam, [o], 3)
+    yield [o], 0, None
+    yield [o], 5, None
+    yield [near[-1], o, near[0], o], 4, None
+    yield [o], 8, [far[-1], far[0]]
+    yield [o], 8, far[::-1]
+    yield [o], 2, [far[-1]]
+    yield [near[0]], 6, [o]
+    yield [o], 6, []
+    yield list(far[:3]), 6, [near[-1], far[-2]]
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES + ("window",))
+def test_bfs_is_the_tuple_walk(name):
+    if name == "window":
+        fam = family_from_window(ball(make_family("comb"), (0, 0), 3))
+    else:
+        fam = make_family(name)
+    for sources, depth, targets in _bfs_cases(fam):
+        got = windows.bfs(fam, sources, depth, targets)
+        want = _tuple_bfs(fam, sources, depth, targets)
+        assert list(got.items()) == list(want.items())
+        rows = windows.distance_rows(fam, sources, targets or [], depth)
+        assert rows.dtype == np.int64
+        for row, x in zip(rows.tolist(), sources):
+            one = windows.bfs(fam, [x], depth, targets or [])
+            assert row == [one.get(y, -1) for y in targets or []]
+
+
+@pytest.mark.parametrize("name", ["z2", "tree3", "comb"])
+def test_distance_rows_fetch_each_neighbor_list_once(name):
+    fam, calls = _counted(make_family(name))
+    verts = neighborhood(fam, [fam.origin], 3)
+    calls.clear()
+    graph = windows.IdGraph(fam)
+    rows = windows.distance_rows(fam, verts, verts, 6, graph)
+    assert len(calls) == len(set(calls))
+    assert (rows == rows.T).all() and (np.diag(rows) == 0).all()
+    assert rows.max() == 6
+    # a second table over the same graph fetches nothing new
+    fetched = len(calls)
+    windows.distance_rows(fam, verts[::-1], verts, 6, graph)
+    assert len(calls) == fetched
 
 
 def test_distance(z2, tree3):
