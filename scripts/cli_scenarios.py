@@ -30,6 +30,9 @@ COR4_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
 # deep tree balls, of 10^4 to 10^5 vertices at the largest radii
 DEEP_TREE_RADII = {"tree3": 14, "tree4": 9}
 QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
+# wide non-tree balls, of about 10^3 to 10^4 vertices at the largest radii
+WIDE_FOLNER_RADII = {"z2": 40, "ladder": 40, "comb": 40, "diag_lattice": 40,
+                     "z3": 12}
 
 
 def scenarios(tmp: Path):
@@ -42,6 +45,9 @@ def scenarios(tmp: Path):
                                      "--radii", f"1..{r}"]
         yield f"folner {fam} deep", ["folner", "--family", fam,
                                      "--radii", f"1..{r}"]
+    for fam, r in WIDE_FOLNER_RADII.items():
+        yield f"folner {fam} wide", ["folner", "--family", fam,
+                                     "--radii", f"1..{r}"]
     for fam in COR4_FAMILIES:
         yield f"cor4 {fam}", ["cor4", "--family", fam, "--window-radii",
                               "1,2,3", "--factor", "4"]
@@ -53,6 +59,9 @@ def scenarios(tmp: Path):
     # the largest windows of the qi_battery benchmark workload
     yield "qicheck z2 radii 5,6", ["qicheck", "--family", "z2",
                                    "--window-radii", "5,6"]
+    for fam in ("comb", "z3"):
+        yield f"qicheck {fam} radii 2..6", ["qicheck", "--family", fam,
+                                            "--window-radii", "2..6"]
     # flags that select nothing: --jobs, and --tol where nothing is solved
     yield "scores z2 --jobs 3", ["scores", "--family", "z2", "--radii", "1..8",
                                  "--jobs", "3"]

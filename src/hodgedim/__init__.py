@@ -15,8 +15,8 @@ from .edgespace import (EdgeFunction, VertexFunction, chi, codifferential,
                         differential, edge_indicator, energy, inner, is_flow,
                         is_harmonic, mask_edges, transfer_edge_function,
                         vertex_inner, edge_function_from_csv,
-                        edge_function_to_csv, vertex_function_to_csv,
-                        flow_residual, harmonic_residual, support_vertices)
+                        edge_function_to_csv, flow_residual,
+                        harmonic_residual, support_vertices)
 from .errors import (CutoffExceededError, HodgedimError,
                      IncompatibleDomainError, IncompatibleRhsError,
                      InsufficientWindowError, InvalidFamilyError,

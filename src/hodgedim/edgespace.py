@@ -218,13 +218,6 @@ def support_vertices(u: EdgeFunction):
 
 # -- CSV --------------------------------------------------------------------
 
-def vertex_function_to_csv(v: VertexFunction) -> str:
-    lines = ["id,value"]
-    for label, val in zip(v.window.labels, v.values.tolist()):
-        lines.append(f"\"{label}\",{val!r}")
-    return "\n".join(lines) + "\n"
-
-
 def edge_function_to_csv(u: EdgeFunction) -> str:
     w = u.window
     labels = w.labels

@@ -157,7 +157,7 @@ def family_from_window(window) -> GraphFamily:
     """
     adj = {}
     verts = window.vertices
-    for i, j in window.intra_edges:
+    for i, j in zip(window.edge_tails.tolist(), window.edge_heads.tolist()):
         adj.setdefault(verts[i], []).append(verts[j])
         adj.setdefault(verts[j], []).append(verts[i])
     table = {x: tuple(sorted(ys)) for x, ys in adj.items()}

@@ -39,7 +39,7 @@ from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, make_family
 from .solver import LaplacianMode, project_star
-from .windows import (FiniteWindow, IdGraph, ball, bfs, distance_rows,
+from .windows import (FiniteWindow, IdGraph, ball, bfs, distance_rows, id_bfs,
                       neighborhood)
 
 
@@ -64,16 +64,22 @@ class QuasiMap:
 def lex_min_path(family: GraphFamily, a: VertexId, b: VertexId,
                  cutoff: int) -> Tuple[VertexId, ...]:
     """One deterministic shortest path from a to b: walk back from b, always
-    through the smallest predecessor id."""
-    dist = bfs(family, [a], cutoff, targets=[b])
-    if b not in dist:
+    through the smallest predecessor vertex."""
+    graph, dist = id_bfs(family, [a], cutoff, [b])
+    vertices, adjacent = graph.vertices, graph.adjacent
+    cur = graph.index[b]
+    if cur not in dist:
         raise CutoffExceededError(f"no path within {cutoff} between {a} and {b}")
     path = [b]
-    cur = b
     while dist[cur] > 0:
-        cur = min(y for y in family.neighbors(cur)
-                  if dist.get(y) == dist[cur] - 1)
-        path.append(cur)
+        # the search stops before expanding b's layer, so only b's
+        # neighbours can be missing
+        nb = adjacent[cur]
+        if nb is None:
+            nb = graph.fetch(cur)
+        cur = min((y for y in nb if dist.get(y) == dist[cur] - 1),
+                  key=vertices.__getitem__)
+        path.append(vertices[cur])
     path.reverse()
     return tuple(path)
 

@@ -10,19 +10,19 @@ by construction.
 Construction is matrix-free friendly: edges live in two parallel numpy index
 arrays, not an adjacency matrix.
 
-This module also holds the package's graph searches: one distance BFS on
-integer vertex ids (`IdGraph`), behind `bfs` for distance tables and
-neighborhoods and `distance_rows` for the tables of many sources at once;
-and the window builder behind `ball` and `induced_window` (a walk over
-vertex tuples, and an array kernel on integer word keys for trees, whose
-windows keep the keys and build their vertex tuples only when asked).
+This module also holds the package's graph search: one BFS on integer
+vertex ids (`IdGraph`), behind `bfs` for distance tables and neighborhoods,
+`distance_rows` for the tables of many sources at once, and the window
+builder behind `ball` and `induced_window`. Trees build their windows with
+an array kernel on integer word keys instead; those windows keep the keys
+and build their vertex tuples only when asked.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_left
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -108,12 +108,6 @@ class FiniteWindow:
     @property
     def n_edges(self) -> int:
         return int(self.edge_tails.size)
-
-    @property
-    def intra_edges(self):
-        """Edges as a list of (i, j) index pairs, i < j. Materialized on
-        demand; large windows should use edge_tails/edge_heads directly."""
-        return list(zip(self.edge_tails.tolist(), self.edge_heads.tolist()))
 
     @property
     def index(self) -> dict:
@@ -279,7 +273,7 @@ class IdGraph:
     Attributes:
         index      vertex -> id
         vertices   id -> vertex
-        adjacent   id -> list of neighbour ids, None until fetched
+        adjacent   id -> tuple of neighbour ids, None until fetched
     """
 
     __slots__ = ("neighbors", "index", "vertices", "adjacent")
@@ -302,9 +296,13 @@ class IdGraph:
             out.append(i)
         return out
 
-    def fetch(self, i: int) -> list:
+    def fetch(self, i: int) -> tuple:
         """Fetch and number the neighbours of the vertex with id i."""
-        nb = self.adjacent[i] = self.ids(self.neighbors(self.vertices[i]))
+        nb = self.ids(self.neighbors(self.vertices[i]))
+        # a tuple of ints, unlike a list, drops out of the cyclic garbage
+        # collector's scans, which on balls of 10^5 vertices cost a tenth of
+        # the build
+        nb = self.adjacent[i] = tuple(nb)
         return nb
 
 
@@ -337,6 +335,21 @@ def _search(graph: IdGraph, sources: list, depth: int,
     return dist
 
 
+def id_bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
+           targets: Optional[Iterable[VertexId]] = None):
+    """`bfs` keyed by id: the new `IdGraph` it ran on, whose `index` and
+    `vertices` translate ids, and its id -> distance table."""
+    if depth < 0:
+        raise InvalidWindowError("radius must be >= 0")
+    graph = IdGraph(family)
+    src = graph.ids(sources)
+    tgt = None if targets is None else graph.ids(targets)
+    if family.tree_degree:
+        # the sources and targets are the only vertices numbered so far
+        _check_words(family.tree_degree, graph.vertices)
+    return graph, _search(graph, src, depth, tgt)
+
+
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
         targets: Optional[Iterable[VertexId]] = None) -> dict:
     """Graph distance from the source set to every vertex within `depth`,
@@ -348,16 +361,9 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     table passes `DEFAULT_SIZE_CAP` vertices, and InvalidWindowError for a
     source or target off a tree family's words.
     """
-    if depth < 0:
-        raise InvalidWindowError("radius must be >= 0")
-    graph = IdGraph(family)
-    src = graph.ids(sources)
-    tgt = None if targets is None else graph.ids(targets)
-    if family.tree_degree:
-        # the sources and targets are the only vertices numbered so far
-        _check_words(family.tree_degree, graph.vertices)
+    graph, dist = id_bfs(family, sources, depth, targets)
     vertices = graph.vertices
-    return {vertices[i]: d for i, d in _search(graph, src, depth, tgt).items()}
+    return {vertices[i]: d for i, d in dist.items()}
 
 
 def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
@@ -394,12 +400,12 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     `neighbors`: it encodes each word as an int64 key whose digits are the
     word's letters shifted up by one, padded with zeros, so that sorting
     keys sorts the words as tuples. Every other family, and a tree whose
-    words do not fit in int64 keys, takes the tuple walk below: one
-    breadth-first walk fetches every window vertex's neighbors exactly
-    once, the outer layer included (it supplies the ambient degrees and the
-    edges inside that layer, but adds no vertex). Each edge is written once,
-    from its later-discovered endpoint, as a pair of discovery indices;
-    numpy then renumbers both ends into sorted vertex order.
+    words do not fit in int64 keys, runs `_search` on a new `IdGraph`, which
+    numbers the window's n vertices 0..n-1, and then fetches the outer
+    layer's neighbours too: every window vertex's neighbour list is fetched
+    exactly once and gives its ambient degree, and its ids below n give its
+    edges inside the window. numpy renumbers both ends of each edge into
+    sorted vertex order.
     """
     if radius < 0:
         raise InvalidWindowError("radius must be >= 0")
@@ -407,50 +413,40 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
         w = _tree_window(family.tree_degree, sources, radius, check)
         if w is not None:
             return w
-    index = {}
-    for x in sources:
-        index.setdefault(x, len(index))
-    order = list(index)
-    degree, near, far = array("q"), array("q"), array("q")
-    neighbors = family.neighbors
-    start = 0
-    for depth in range(radius + 1):
-        stop = len(order)
-        if start == stop:  # a finite family ran out of vertices
-            break
-        grow = depth < radius
-        for p in range(start, stop):
-            nb = neighbors(order[p])
-            degree.append(len(nb))
-            for y in nb:
-                q = index.get(y)
-                if q is None:
-                    if grow:
-                        index[y] = len(order)
-                        order.append(y)
-                elif q < p:
-                    near.append(q)
-                    far.append(p)
-            _check_size(len(order))
-        start = stop
-    n = len(order)
+    graph = IdGraph(family)
+    n = len(_search(graph, graph.ids(sources), radius, None))
+    adjacent, fetch = graph.adjacent, graph.fetch
+    for i in range(n):  # the outer layer, which the search does not expand
+        if adjacent[i] is None:
+            fetch(i)
+    order, index = graph.vertices, graph.index
+    # rank of each id in sorted vertex order, n outside the window. Ids and
+    # ranks are int32, which halves the largest temporaries (np.fromiter
+    # raises rather than wrap); each temporary is freed once used, as on
+    # balls of 10^5 vertices and more they set the peak memory of a run.
+    rank = np.full(len(order), n, dtype=np.int32)
+    del graph, fetch, order[n:]
     order.sort()
-    # discovery index of each vertex, in sorted order
+    # id of each vertex, in sorted order
     found = np.fromiter(map(index.__getitem__, order), np.int64, n)
     del index
-    rank = np.empty(n, dtype=np.int64)
-    rank[found] = np.arange(n)
-    a = rank[np.frombuffer(near, dtype=np.int64)]
-    b = rank[np.frombuffer(far, dtype=np.int64)]
-    key = np.minimum(a, b) * n + np.maximum(a, b)
-    # free each temporary once used: on balls of 10^5 vertices and more they
-    # set the peak memory of a run
-    del a, b, rank
+    rank[found] = np.arange(n, dtype=np.int32)
+    degree = np.fromiter(map(len, islice(adjacent, n)), np.int64, n)
+    listed = rank[np.fromiter(chain.from_iterable(islice(adjacent, n)),
+                              np.int32, int(degree.sum()))]
+    del adjacent
+    owner = np.repeat(rank[:n], degree)
+    # each edge once, from its end later in sorted order
+    keep = listed < owner
+    key = listed[keep].astype(np.int64)
+    del listed
+    key *= n
+    key += owner[keep]
+    del owner, keep, rank
     key.sort()
     tails, heads = np.divmod(key, n)
     del key
-    return FiniteWindow(order, tails, heads,
-                        np.frombuffer(degree, dtype=np.int64)[found], check=check)
+    return FiniteWindow(order, tails, heads, degree[found], check=check)
 
 
 def _tree_window(d: int, sources: list, radius: int,
@@ -475,7 +471,7 @@ def _tree_window(d: int, sources: list, radius: int,
 
     Raises InvalidWindowError for a source that is not a word of the tree.
     Returns None when W, the longest source word plus the radius, makes keys
-    too large for int64; the caller then walks tuples. Keys never wrap.
+    too large for int64; the caller then runs the id search. Keys never wrap.
     """
     _check_words(d, sources)
     base = d + 1

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from hodgedim import (CutoffExceededError, DistortionReport, EdgeFunction,
+from hodgedim import (BUILTIN_FAMILY_NAMES, CutoffExceededError,
+                      DistortionReport, EdgeFunction,
                       IncompatibleDomainError, InsufficientWindowError,
                       InvalidWindowError, QuasiMap, SizeLimitError,
                       VertexFunction, ball, builtin_maps, differential,
@@ -164,6 +166,30 @@ def test_lex_min_path(z2):
         assert b in z2.neighbors(a)
     # deterministic: same call, same path
     assert p == lex_min_path(z2, (0, 0), (2, 1), 10)
+
+
+def _walk_back(family, a, b, cutoff):
+    """`lex_min_path` as it was before it ran on the id graph, kept as its
+    reference: a vertex table, then a walk back over `family.neighbors`."""
+    dist = windows.bfs(family, [a], cutoff, targets=[b])
+    path = [b]
+    while dist[path[-1]] > 0:
+        path.append(min(y for y in family.neighbors(path[-1])
+                        if dist.get(y) == dist[path[-1]] - 1))
+    return tuple(reversed(path))
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES)
+def test_lex_min_path_is_the_walk_back(name):
+    fam = make_family(name)
+    # a rule listing neighbours out of order numbers them out of order too,
+    # so the smallest predecessor id is not always the smallest vertex
+    backwards = dataclasses.replace(fam,
+                                    neighbors=lambda x: fam.neighbors(x)[::-1])
+    for f in (fam, backwards):
+        for a in (f.origin, f.neighbors(f.origin)[-1]):
+            for b in windows.neighborhood(f, [f.origin], 4):
+                assert lex_min_path(f, a, b, 9) == _walk_back(f, a, b, 9)
 
 
 def test_lex_min_path_cutoff(z2):

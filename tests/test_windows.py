@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from array import array
 from bisect import bisect_left
 
 import numpy as np
@@ -440,6 +441,97 @@ def test_bfs_is_the_tuple_walk(name):
         for row, x in zip(rows.tolist(), sources):
             one = windows.bfs(fam, [x], depth, targets or [])
             assert row == [one.get(y, -1) for y in targets or []]
+
+
+def _tuple_window(family, sources, radius):
+    """The tuple walk that built every non-tree window before the id search
+    did, kept as its reference: one breadth-first walk fetches each window
+    vertex's neighbours once, the outer layer included, and writes each
+    edge once, from its later-discovered end, as a pair of discovery
+    indices; numpy renumbers both ends into sorted vertex order."""
+    index = {}
+    for x in sources:
+        index.setdefault(x, len(index))
+    order = list(index)
+    degree, near, far = array("q"), array("q"), array("q")
+    neighbors = family.neighbors
+    start = 0
+    for depth in range(radius + 1):
+        stop = len(order)
+        if start == stop:  # a finite family ran out of vertices
+            break
+        grow = depth < radius
+        for p in range(start, stop):
+            nb = neighbors(order[p])
+            degree.append(len(nb))
+            for y in nb:
+                q = index.get(y)
+                if q is None:
+                    if grow:
+                        index[y] = len(order)
+                        order.append(y)
+                elif q < p:
+                    near.append(q)
+                    far.append(p)
+            windows._check_size(len(order))
+        start = stop
+    n = len(order)
+    order.sort()
+    # discovery index of each vertex, in sorted order
+    found = np.fromiter(map(index.__getitem__, order), np.int64, n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[found] = np.arange(n)
+    a = rank[np.frombuffer(near, dtype=np.int64)]
+    b = rank[np.frombuffer(far, dtype=np.int64)]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    key.sort()
+    tails, heads = np.divmod(key, n)
+    return FiniteWindow(order, tails, heads,
+                        np.frombuffer(degree, dtype=np.int64)[found],
+                        check=False)
+
+
+def _outcome(build, *args):
+    """A window's arrays, or the type and message of what it raised."""
+    try:
+        w = build(*args)
+    except (InvalidWindowError, SizeLimitError) as exc:
+        return type(exc), str(exc)
+    return (w.vertices, w.edge_tails.tolist(), w.edge_heads.tolist(),
+            w.full_degree.tolist())
+
+
+def _window_sources(fam):
+    """One source, an edge's ends, repeated sources, sources far apart, and
+    on trees a word too long for the key kernel."""
+    o = fam.origin
+    far = list(windows.bfs(fam, [o], 8))
+    yield [o]
+    yield list(origin_edge(fam))
+    yield [o, far[1], o, far[1]]
+    yield [o, far[-1], far[len(far) // 2]]
+    if fam.tree_degree:
+        yield [(1,) + (0, 1) * 15 + (1,)]  # 32 letters
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES + ("window",))
+def test_window_is_the_tuple_walk(monkeypatch, name):
+    if name == "window":  # finite: its balls stop growing at radius 3
+        fam = family_from_window(ball(make_family("comb"), (0, 0), 3))
+    else:
+        fam = make_family(name)
+    cases = list(_window_sources(fam))
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 40)
+    outcomes = set()
+    for sources in cases:
+        for r in range(5):
+            got = _outcome(windows._grow_window, fam, sources, r, False)
+            assert got == _outcome(_tuple_window, fam, sources, r)
+            outcomes.add(got[0] if got[0] in (InvalidWindowError,
+                                               SizeLimitError) else "window")
+    assert "window" in outcomes and InvalidWindowError in outcomes
+    if name not in ("z1", "window"):
+        assert SizeLimitError in outcomes
 
 
 @pytest.mark.parametrize("name", ["z2", "tree3", "comb"])
