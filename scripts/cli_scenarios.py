@@ -29,10 +29,17 @@ from hodgedim.cli import main as cli_main
 COR4_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
 # deep tree balls, of 10^4 to 10^5 vertices at the largest radii
 DEEP_TREE_RADII = {"tree3": 14, "tree4": 9}
-QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3")
+QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3",
+               "tree4")
 # wide non-tree balls, of about 10^3 to 10^4 vertices at the largest radii
 WIDE_FOLNER_RADII = {"z2": 40, "ladder": 40, "comb": 40, "diag_lattice": 40,
                      "z3": 12}
+# (family, --map, --window-radii): coarsen and the maps between z2 and
+# diag_lattice check at cutoff 4(r+2)+4, identity and translation at 2(r+2)+4
+QI_MAP_ORDERS = (("z2", "z2_to_diag,coarsen,translation,identity", "1..6"),
+                 ("diag_lattice", "diag_to_z2,translation,identity", "1..4"),
+                 ("z1", "coarsen,translation,identity", "1..6"),
+                 ("z3", "coarsen,identity", "1..3"))
 
 
 def scenarios(tmp: Path):
@@ -62,6 +69,11 @@ def scenarios(tmp: Path):
     for fam in ("comb", "z3"):
         yield f"qicheck {fam} radii 2..6", ["qicheck", "--family", fam,
                                             "--window-radii", "2..6"]
+    # maps in orders that meet a radius's larger-cutoff distance table first
+    for fam, maps, radii in QI_MAP_ORDERS:
+        yield f"qicheck {fam} --map {maps}", ["qicheck", "--family", fam,
+                                              "--map", maps,
+                                              "--window-radii", radii]
     # flags that select nothing: --jobs, and --tol where nothing is solved
     yield "scores z2 --jobs 3", ["scores", "--family", "z2", "--radii", "1..8",
                                  "--jobs", "3"]

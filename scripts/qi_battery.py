@@ -3,7 +3,9 @@
 
 Each row reports the estimated distortion, image density gap, displacement,
 and the two energy comparison ratios against their a priori constants. A
-ratio above its bound would be printed with a FAIL marker.
+ratio above its bound would be printed with a FAIL marker. The rows of one
+family share their searches' graphs, balls and distance tables, as the rows
+of one `hodgedim qicheck` command do.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ def main() -> None:
     failures = 0
     for name in ns.families.split(","):
         fam = make_family(name.strip())
+        shared = {}  # one graph, ball and table per radius for all maps
         for m in builtin_maps(fam):
             for r in radii:
-                row = suite_row(m, r)
+                row = suite_row(m, r, shared)
                 ok5 = row.lemma5_ratio <= row.lemma5_bound
                 ok6 = row.lemma6_ratio < 0 or row.lemma6_ratio <= row.lemma6_bound
                 mark = "" if ok5 and ok6 else "  FAIL"

@@ -205,7 +205,8 @@ def _cmd_qicheck(ns):
                     f"unknown map {name!r} for family {fam.name}; "
                     f"available: {', '.join(sorted(available))}")
             chosen.append(available[name])
-    rows = [astuple(suite_row(m, r)) for m in chosen for r in radii]
+    shared = {}  # what the rows compute once, see suite_row
+    rows = [astuple(suite_row(m, r, shared)) for m in chosen for r in radii]
     return tuple(f.name for f in fields(QiRow)), list(zip(*rows))
 
 

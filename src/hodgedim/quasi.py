@@ -62,10 +62,16 @@ class QuasiMap:
 # -- distances and deterministic paths ---------------------------------------
 
 def lex_min_path(family: GraphFamily, a: VertexId, b: VertexId,
-                 cutoff: int) -> Tuple[VertexId, ...]:
+                 cutoff: int,
+                 graph: Optional[IdGraph] = None) -> Tuple[VertexId, ...]:
     """One deterministic shortest path from a to b: walk back from b, always
-    through the smallest predecessor vertex."""
-    graph, dist = id_bfs(family, [a], cutoff, [b])
+    through the smallest predecessor vertex.
+
+    The search and the walk back run on `graph`, an `IdGraph` of `family`
+    (a new one when None); the paths of one density probe share one, so
+    each neighbour list is fetched once for all of them.
+    """
+    graph, dist = id_bfs(family, [a], cutoff, [b], graph)
     vertices, adjacent = graph.vertices, graph.adjacent
     cur = graph.index[b]
     if cur not in dist:
@@ -94,25 +100,49 @@ class DistortionReport:
     inconclusive: Tuple[tuple, ...]
 
 
-def distortion_estimate(f: QuasiMap, window: FiniteWindow,
-                        cutoff: int) -> DistortionReport:
+def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
+                        table: Optional[np.ndarray] = None,
+                        graph: Optional[IdGraph] = None) -> DistortionReport:
     """Exhaustive pair check of the distortion inequalities on a window.
 
     violations lists the pairs (x, y, d, d') that break the *claimed*
     distortion; pairs whose distance query passes `cutoff` land in
     `inconclusive` instead of being silently dropped, with None for each
     distance not found. Both list the pairs x < y in vertex order.
+
+    `table` is the window's source table, `distance_rows(f.source, verts,
+    verts, cutoff)`, when the caller already has it (`suite_row` derives it
+    from a table of the same window at another cutoff, see
+    `_source_table`). The target searches run on `graph`, an `IdGraph` of
+    f.target (a new one when None); without `table`, the source rows run
+    on that graph too for an endomap, and on a new `IdGraph` of f.source
+    otherwise.
+
+    An endomap whose images all lie in the window reads its image distances
+    from the source table: the family and the cutoff are the same, an entry
+    is d(x, y) when that is <= cutoff and -1 otherwise whatever the targets,
+    and each image row's search, with fewer targets, stops no later than
+    the source row that already passed `DEFAULT_SIZE_CAP`.
     """
     verts = window.vertices
-    graph = IdGraph(f.source)
-    dist = distance_rows(f.source, verts, verts, cutoff, graph)
+    if graph is None:
+        graph = IdGraph(f.target)
+    dist = table
+    if dist is None:
+        dist = distance_rows(f.source, verts, verts, cutoff,
+                             graph if f.target == f.source
+                             else IdGraph(f.source))
     images = [f(x) for x in verts]
-    distinct = list(dict.fromkeys(images))
-    where = {y: j for j, y in enumerate(distinct)}
-    pos = np.array([where[y] for y in images], dtype=np.int64)
-    # an endomap's image rows reuse the neighbours the source rows fetched
-    image_dist = distance_rows(f.target, distinct, distinct, cutoff,
-                               graph if f.target == f.source else None)
+    index = window.index
+    if f.target == f.source and all(y in index for y in images):
+        image_dist = dist
+        pos = np.array([index[y] for y in images], dtype=np.int64)
+    else:
+        distinct = list(dict.fromkeys(images))
+        where = {y: j for j, y in enumerate(distinct)}
+        pos = np.array([where[y] for y in images], dtype=np.int64)
+        image_dist = distance_rows(f.target, distinct, distinct, cutoff,
+                                   graph)
 
     xs, ys = np.triu_indices(len(verts), 1)
     d = dist[xs, ys]
@@ -135,20 +165,25 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow,
                                            d[k].tolist(), dp[k].tolist()))
 
     return DistortionReport(k_est=k_needed,
-                            density_gap=_density_gap(f, window, cutoff),
+                            density_gap=_density_gap(f, window, cutoff,
+                                                     graph),
                             violations=pairs(broken),
                             inconclusive=pairs(~known))
 
 
-def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
+def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int,
+                 graph: Optional[IdGraph] = None) -> int:
     """Covering radius of the image over the connecting-path skeleton.
 
     For every window edge (x, y) take the deterministic shortest target path
     between f(x) and f(y); the probe is the union of those paths. This stays
     inside the image's footprint (a free-floating ball probe would report
     spurious gaps at its own fringe) while catching images that skip over
-    intermediate target vertices.
+    intermediate target vertices. The paths and the probe search all run on
+    `graph`, an `IdGraph` of f.target (a new one when None).
     """
+    if graph is None:
+        graph = IdGraph(f.target)
     verts = window.vertices
     image = {f(x) for x in verts}
     probe = set()
@@ -157,20 +192,28 @@ def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
         if fa == fb:
             probe.add(fa)
         else:
-            probe.update(lex_min_path(f.target, fa, fb, cutoff))
-    dist = bfs(f.target, image, cutoff, targets=probe)
+            probe.update(lex_min_path(f.target, fa, fb, cutoff, graph))
+    dist = bfs(f.target, image, cutoff, targets=probe, graph=graph)
     if not probe <= dist.keys():
         raise CutoffExceededError("density probe ran past the cutoff")
     return max(dist[y] for y in probe)
 
 
 def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
-                          cutoff: int = 64) -> int:
-    """max over window vertices of d(x, f x); endomaps only."""
+                          cutoff: int = 64,
+                          graph: Optional[IdGraph] = None) -> int:
+    """max over window vertices of d(x, f x); endomaps only.
+
+    The searches run on `graph`, an `IdGraph` of f.source (a new one when
+    None), so they fetch no neighbour list that an earlier search on it
+    fetched. `suite_row` computes this once per row and hands it to
+    `lemma6_check`.
+    """
     if not f.is_endomap:
         raise IncompatibleDomainError(
             "displacement needs source and target to coincide")
-    graph = IdGraph(f.source)
+    if graph is None:
+        graph = IdGraph(f.source)
     worst = 0
     for x in window.vertices:
         fx = f(x)
@@ -239,12 +282,14 @@ class Lemma5Result:
 
 
 def lemma5_check(f: QuasiMap, v: VertexFunction, source_window: FiniteWindow,
-                 a: Optional[Iterable[VertexId]] = None) -> Lemma5Result:
+                 a: Optional[Iterable[VertexId]] = None,
+                 graph: Optional[IdGraph] = None) -> Lemma5Result:
     """Compare |d(f* v) . chi_A| against |dv . chi_B|, B = C_k(f(A)).
 
     v must live on a target window containing C_k of the full image of the
     source window; anything smaller raises InsufficientWindowError rather
-    than silently truncating B.
+    than silently truncating B. The search for B runs on `graph`, an
+    `IdGraph` of f.target, when given.
     """
     k = math.ceil(f.claimed_distortion)
     tw = v.window
@@ -261,7 +306,7 @@ def lemma5_check(f: QuasiMap, v: VertexFunction, source_window: FiniteWindow,
                 raise IncompatibleDomainError(
                     f"localization vertex {x} is outside the source window")
     image_a = {f(x) for x in a_verts}
-    b = neighborhood(f.target, sorted(image_a), k)
+    b = neighborhood(f.target, sorted(image_a), k, graph)
     for y in b:
         if not tw.has_vertex(y):
             raise InsufficientWindowError(
@@ -293,15 +338,23 @@ class Lemma6Result:
 
 
 def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
-                 cutoff: int = 64) -> Lemma6Result:
+                 cutoff: int = 64, displacement: Optional[int] = None,
+                 graph: Optional[IdGraph] = None) -> Lemma6Result:
     """Check |f* v - v|^2 <= K(s, D) * energy(v) over a window.
 
     v must be defined on an enlargement of the window by the displacement
     bound s, since the connecting paths (and the energy they price) may step
     outside the window itself.
+
+    s is `displacement` when the caller has it, `wobbling_displacement(f,
+    window, cutoff)` otherwise; `suite_row` passes the value it reports, so
+    the row searches for it once. The searches run on `graph`, an `IdGraph`
+    of f.source, when given.
     """
-    s = wobbling_displacement(f, window, cutoff=cutoff)
-    needed = neighborhood(f.source, window.vertices, s)
+    s = displacement
+    if s is None:
+        s = wobbling_displacement(f, window, cutoff=cutoff, graph=graph)
+    needed = neighborhood(f.source, window.vertices, s, graph)
     tw = v.window
     for y in needed:
         if not tw.has_vertex(y):
@@ -419,9 +472,10 @@ class QiRow:
 
 
 def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
-                 radius: int) -> VertexFunction:
+                 radius: int, graph: Optional[IdGraph] = None
+                 ) -> VertexFunction:
     """Tent function of the distance to `center`, zero beyond `radius`."""
-    dist = bfs(family, [center], radius + 1)
+    dist = bfs(family, [center], radius + 1, graph=graph)
     vals = np.zeros(window.n_vertices)
     for i, x in enumerate(window.vertices):
         d = dist.get(x)
@@ -430,31 +484,91 @@ def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
     return VertexFunction(window, vals)
 
 
-def suite_row(f: QuasiMap, window_radius: int) -> QiRow:
+def _graph(shared: dict, family: GraphFamily) -> IdGraph:
+    """The one `IdGraph` of `family` in `shared`."""
+    graph = shared.get(("graph", family))
+    if graph is None:
+        graph = shared[("graph", family)] = IdGraph(family)
+    return graph
+
+
+def _source_ball(shared: dict, family: GraphFamily, r: int) -> FiniteWindow:
+    """The one radius-r ball about the family's origin in `shared`."""
+    w = shared.get(("ball", family, r))
+    if w is None:
+        w = shared[("ball", family, r)] = ball(family, family.origin, r)
+    return w
+
+
+def _source_table(shared: dict, family: GraphFamily, r: int,
+                  cutoff: int) -> np.ndarray:
+    """`distance_rows` from every vertex of the radius-r source ball to all
+    of them at depth `cutoff`, from the one table of that ball in `shared`.
+
+    The table is stored with the cutoff C it was computed at. For a cutoff
+    c < C, entries above c become -1, which is what depth c returns, and
+    the depth-C rows ran through every layer a depth-c row reaches, under
+    the same size checks. For c > C the table is reused only when it has
+    no -1: every row then found all its targets by depth C, so a deeper
+    search stops at the same layer. Otherwise the table is computed at c
+    and stored in place of the old one.
+    """
+    key = ("table", family, r)
+    stored = shared.get(key)
+    if stored is not None:
+        computed_at, table = stored
+        if cutoff < computed_at:
+            return np.where(table > cutoff, -1, table)
+        if cutoff == computed_at or table.min() >= 0:
+            return table
+    verts = _source_ball(shared, family, r).vertices
+    table = distance_rows(family, verts, verts, cutoff,
+                          _graph(shared, family))
+    shared[key] = (cutoff, table)
+    return table
+
+
+def suite_row(f: QuasiMap, window_radius: int,
+              shared: Optional[dict] = None) -> QiRow:
     """Run the full check battery for one built-in map at one window radius.
 
     The Dirichlet test function is a radial tent centered at the image of the
     origin, supported strictly inside the source window's footprint so the
     identity row reproduces ratio 1 exactly.
+
+    `shared` is a dict that the rows of one command pass along, empty for
+    the first (a new one when None, which gives the same row). It holds one
+    `IdGraph` per family, on which every search of the rows runs, and per
+    (family, radius) the source ball and its distance table with the
+    cutoff C it was computed at. Maps that check at other cutoffs share
+    that table (`_source_table`): a smaller cutoff c reads it with the
+    entries above c set to -1, a larger one reads it as it is if it has
+    no -1 entry, and otherwise the table is computed again. A row computes
+    its displacement once, for its wobble and for `lemma6_check`.
     """
     r = window_radius
     if r < 1:
         raise InvalidWindowError("window radius must be >= 1")
+    if shared is None:
+        shared = {}
     src = f.source
-    w = ball(src, src.origin, r)
+    graph, image_graph = _graph(shared, src), _graph(shared, f.target)
+    w = _source_ball(shared, src, r)
     k = math.ceil(f.claimed_distortion)
     cutoff = 2 * k * (r + 2) + 4
 
-    rep = distortion_estimate(f, w, cutoff)
+    table = _source_table(shared, src, r, cutoff)
+    rep = distortion_estimate(f, w, cutoff, table, image_graph)
 
     if f.is_endomap:
-        wobble = wobbling_displacement(f, w, cutoff=cutoff)
+        wobble = wobbling_displacement(f, w, cutoff=cutoff, graph=graph)
     else:
         wobble = -1
 
     fo = f(src.origin)
     ecc = 0
-    dist_fo = bfs(f.target, [fo], cutoff, targets={f(x) for x in w.vertices})
+    dist_fo = bfs(f.target, [fo], cutoff, targets={f(x) for x in w.vertices},
+                  graph=image_graph)
     for x in w.vertices:
         d = dist_fo.get(f(x))
         if d is None:
@@ -463,11 +577,12 @@ def suite_row(f: QuasiMap, window_radius: int) -> QiRow:
     margin = max(wobble, 0)
     t_radius = max(ecc + k, r + 2 * margin) + 2
     tw = ball(f.target, fo, t_radius)
-    v = _radial_bump(f.target, tw, fo, max(1, r - 2))
+    v = _radial_bump(f.target, tw, fo, max(1, r - 2), image_graph)
 
-    l5 = lemma5_check(f, v, w, a=None)
+    l5 = lemma5_check(f, v, w, a=None, graph=image_graph)
     if f.is_endomap:
-        l6 = lemma6_check(f, v, w, cutoff=cutoff)
+        l6 = lemma6_check(f, v, w, cutoff=cutoff, displacement=wobble,
+                          graph=graph)
         l6_ratio, l6_bound = l6.ratio, l6.bound
     else:
         l6_ratio, l6_bound = -1.0, -1.0

@@ -297,12 +297,22 @@ class IdGraph:
         return out
 
     def fetch(self, i: int) -> tuple:
-        """Fetch and number the neighbours of the vertex with id i."""
-        nb = self.ids(self.neighbors(self.vertices[i]))
+        """Fetch and number the neighbours of the vertex with id i. The
+        loop of `ids` is written out here, which saves a call per vertex of
+        every window and search."""
+        index, vertices, adjacent = self.index, self.vertices, self.adjacent
+        nb = []
+        for x in self.neighbors(vertices[i]):
+            j = index.get(x)
+            if j is None:
+                j = index[x] = len(vertices)
+                vertices.append(x)
+                adjacent.append(None)
+            nb.append(j)
         # a tuple of ints, unlike a list, drops out of the cyclic garbage
         # collector's scans, which on balls of 10^5 vertices cost a tenth of
         # the build
-        nb = self.adjacent[i] = tuple(nb)
+        nb = adjacent[i] = tuple(nb)
         return nb
 
 
@@ -336,22 +346,29 @@ def _search(graph: IdGraph, sources: list, depth: int,
 
 
 def id_bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
-           targets: Optional[Iterable[VertexId]] = None):
-    """`bfs` keyed by id: the new `IdGraph` it ran on, whose `index` and
-    `vertices` translate ids, and its id -> distance table."""
+           targets: Optional[Iterable[VertexId]] = None,
+           graph: Optional[IdGraph] = None):
+    """`bfs` keyed by id: the `IdGraph` it ran on (`graph`, or a new one of
+    the family when None), whose `index` and `vertices` translate ids, and
+    its id -> distance table."""
     if depth < 0:
         raise InvalidWindowError("radius must be >= 0")
-    graph = IdGraph(family)
+    sources = list(sources)
+    targets = None if targets is None else list(targets)
+    if family.tree_degree:
+        # before numbering, so that a shared graph never holds a non-word
+        _check_words(family.tree_degree,
+                     sources if targets is None else sources + targets)
+    if graph is None:
+        graph = IdGraph(family)
     src = graph.ids(sources)
     tgt = None if targets is None else graph.ids(targets)
-    if family.tree_degree:
-        # the sources and targets are the only vertices numbered so far
-        _check_words(family.tree_degree, graph.vertices)
     return graph, _search(graph, src, depth, tgt)
 
 
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
-        targets: Optional[Iterable[VertexId]] = None) -> dict:
+        targets: Optional[Iterable[VertexId]] = None,
+        graph: Optional[IdGraph] = None) -> dict:
     """Graph distance from the source set to every vertex within `depth`,
     in discovery order.
 
@@ -359,9 +376,11 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     of them; layers are never cut short, so every vertex at distance <= the
     largest returned distance is present. Raises SizeLimitError once the
     table passes `DEFAULT_SIZE_CAP` vertices, and InvalidWindowError for a
-    source or target off a tree family's words.
+    source or target off a tree family's words. The search runs on `graph`
+    when given, which must be an `IdGraph` of `family`: searches that share
+    one fetch each neighbour list once between them.
     """
-    graph, dist = id_bfs(family, sources, depth, targets)
+    graph, dist = id_bfs(family, sources, depth, targets, graph)
     vertices = graph.vertices
     return {vertices[i]: d for i, d in dist.items()}
 
@@ -656,9 +675,11 @@ def _is_edge(window: FiniteWindow, x: VertexId, y: VertexId) -> bool:
     return True
 
 
-def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId], k: int):
-    """C_k(A): sorted tuple of vertices within distance k of the set A."""
-    return tuple(sorted(bfs(family, vertex_set, k)))
+def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId], k: int,
+                 graph: Optional[IdGraph] = None):
+    """C_k(A): sorted tuple of vertices within distance k of the set A; the
+    search runs on `graph` as in `bfs`."""
+    return tuple(sorted(bfs(family, vertex_set, k, graph=graph)))
 
 
 def distance(family: GraphFamily, x: VertexId, y: VertexId,

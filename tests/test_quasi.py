@@ -8,7 +8,7 @@ import pytest
 from pytest import approx
 
 from hodgedim import (BUILTIN_FAMILY_NAMES, CutoffExceededError,
-                      DistortionReport, EdgeFunction,
+                      DistortionReport, EdgeFunction, HodgedimError,
                       IncompatibleDomainError, InsufficientWindowError,
                       InvalidWindowError, QuasiMap, SizeLimitError,
                       VertexFunction, ball, builtin_maps, differential,
@@ -425,3 +425,70 @@ def test_suite_row_non_endomap_sentinels(z2):
     assert row.wobble == -1
     assert row.lemma6_ratio == -1.0 and row.lemma6_bound == -1.0
     assert row.lemma5_ratio <= row.lemma5_bound
+
+
+def _rows(maps, radii, shared=None):
+    """Each (map, radius) row in turn: its repr, or its error's type and
+    message. With `shared`, every row gets that one dict, as in the CLI;
+    without, each row makes its own."""
+    out = []
+    for m in maps:
+        for r in radii:
+            try:
+                row = (suite_row(m, r) if shared is None
+                       else suite_row(m, r, shared))
+                out.append(repr(row))
+            except HodgedimError as exc:
+                out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES)
+def test_shared_rows_match_fresh_rows(name):
+    maps = builtin_maps(make_family(name))
+    # tree4's radius-4 table searches 354,293 vertices, some 7 s for both
+    # runs; `scripts/cli_scenarios.py` checks that row against the parent
+    radii = range(1, 4 if name == "tree4" else 5)
+    # reversed, the larger-cutoff source tables come first; a tree family
+    # has one map, so one order
+    for order in dict.fromkeys((maps, maps[::-1])):
+        assert _rows(order, radii, {}) == _rows(order, radii)
+
+
+@pytest.mark.parametrize("cap", (40, 100))
+def test_shared_rows_raise_where_fresh_rows_do(monkeypatch, cap):
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", cap)
+    outcomes = []
+    for name in ("z2", "comb", "diag_lattice", "tree3"):
+        maps = builtin_maps(make_family(name))
+        for order in dict.fromkeys((maps, maps[::-1])):
+            # so the CLI, which stops at the first error, stops at the same
+            # row with the same message
+            fresh = _rows(order, range(1, 5))
+            assert _rows(order, range(1, 5), {}) == fresh
+            outcomes += fresh
+    assert (SizeLimitError, f"window would exceed {cap} vertices") in outcomes
+
+
+def test_source_table_reuse_rules(z2):
+    w = ball(z2, (0, 0), 3)  # diameter 6
+    shared = {}
+    for cutoff in (2, 1, 8, 3, 30, 5, 6, 7, 20):
+        got = quasi._source_table(shared, z2, 3, cutoff)
+        want = windows.distance_rows(z2, w.vertices, w.vertices, cutoff)
+        assert np.array_equal(got, want)
+    # the table from depth 2 has -1 entries, so depth 8 searched again; the
+    # one from depth 8 has none and served every later depth
+    assert shared[("table", z2, 3)][0] == 8
+
+
+def test_distortion_from_a_deeper_table(z2):
+    w = ball(z2, (0, 0), 3)
+    shared = {}
+    quasi._source_table(shared, z2, 3, 20)
+    for name in ("identity", "translation", "coarsen"):
+        f = _map(name, z2)
+        got = distortion_estimate(f, w, 2, quasi._source_table(shared, z2, 3, 2))
+        want = distortion_estimate(f, w, 2)
+        assert want.inconclusive
+        assert repr(got) == repr(want)

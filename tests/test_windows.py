@@ -550,6 +550,32 @@ def test_distance_rows_fetch_each_neighbor_list_once(name):
     assert len(calls) == fetched
 
 
+@pytest.mark.parametrize("name", ["z2", "tree3"])
+def test_searches_on_one_graph_fetch_each_neighbor_list_once(name):
+    fam, calls = _counted(make_family(name))
+    graph = windows.IdGraph(fam)
+    far = neighborhood(fam, [fam.origin], 3)[-1]
+    want = (windows.bfs(fam, [fam.origin], 4),
+            windows.bfs(fam, [far], 5, targets=[fam.origin]),
+            neighborhood(fam, [fam.origin, far], 2))
+    calls.clear()
+    got = (windows.bfs(fam, [fam.origin], 4, graph=graph),
+           windows.bfs(fam, [far], 5, targets=[fam.origin], graph=graph),
+           neighborhood(fam, [fam.origin, far], 2, graph))
+    # equal tables, in the same discovery order
+    assert [list(t.items()) if isinstance(t, dict) else t for t in got] == \
+        [list(t.items()) if isinstance(t, dict) else t for t in want]
+    assert len(calls) == len(set(calls))
+
+
+def test_shared_tree_graph_numbers_no_bad_word(tree3):
+    graph = windows.IdGraph(tree3)
+    for sources, targets in (([(5,)], None), ([()], [(0, 7)])):
+        with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
+            windows.bfs(tree3, sources, 3, targets, graph)
+    assert graph.vertices == []
+
+
 def test_distance(z2, tree3):
     assert distance(z2, (0, 0), (3, -2), 20) == 5
     assert distance(z2, (0, 0), (0, 0), 20) == 0
