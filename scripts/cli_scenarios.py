@@ -35,7 +35,9 @@ QI_FAMILIES = ("z1", "z2", "z3", "ladder", "comb", "diag_lattice", "tree3",
 WIDE_FOLNER_RADII = {"z2": 40, "ladder": 40, "comb": 40, "diag_lattice": 40,
                      "z3": 12}
 # (family, --map, --window-radii): coarsen and the maps between z2 and
-# diag_lattice check at cutoff 4(r+2)+4, identity and translation at 2(r+2)+4
+# diag_lattice check at cutoff 4(r+2)+4, identity and translation at
+# 2(r+2)+4; each order puts a larger-cutoff map first, and every map reads
+# the radius's one source distance table
 QI_MAP_ORDERS = (("z2", "z2_to_diag,coarsen,translation,identity", "1..6"),
                  ("diag_lattice", "diag_to_z2,translation,identity", "1..4"),
                  ("z1", "coarsen,translation,identity", "1..6"),
@@ -69,7 +71,7 @@ def scenarios(tmp: Path):
     for fam in ("comb", "z3"):
         yield f"qicheck {fam} radii 2..6", ["qicheck", "--family", fam,
                                             "--window-radii", "2..6"]
-    # maps in orders that meet a radius's larger-cutoff distance table first
+    # maps in orders that put a larger cutoff first
     for fam, maps, radii in QI_MAP_ORDERS:
         yield f"qicheck {fam} --map {maps}", ["qicheck", "--family", fam,
                                               "--map", maps,

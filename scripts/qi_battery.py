@@ -4,8 +4,8 @@
 Each row reports the estimated distortion, image density gap, displacement,
 and the two energy comparison ratios against their a priori constants. A
 ratio above its bound would be printed with a FAIL marker. The rows of one
-family share their searches' graphs, balls and distance tables, as the rows
-of one `hodgedim qicheck` command do.
+family share one `IdGraph` and, per radius, one source ball and its
+distance table, as the rows of one `hodgedim qicheck` command do.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def main() -> None:
     failures = 0
     for name in ns.families.split(","):
         fam = make_family(name.strip())
-        shared = {}  # one graph, ball and table per radius for all maps
+        shared = {}  # one graph, and one ball and table per radius
         for m in builtin_maps(fam):
             for r in radii:
                 row = suite_row(m, r, shared)

@@ -181,8 +181,6 @@ def _cmd_scores(ns):
 def _cmd_folner(ns):
     fam = _family(ns)
     radii = _parse_radii(ns.radii)
-    if any(r < 0 for r in radii):
-        raise InvalidWindowError("radii must be >= 0")
     rows = [(fam.name, row.radius, row.n_vertices, row.n_edges,
              row.sigma_size, row.ratio_v, row.ratio_e)
             for row in folner_profile(fam, fam.origin, radii)]

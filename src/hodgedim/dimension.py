@@ -227,7 +227,10 @@ class FolnerRow:
 def folner_profile(family: GraphFamily, center: VertexId,
                    radii: Sequence[int]):
     """Boundary-to-bulk ratios of balls; the certificate of amenability is
-    ratio_v tending to 0 along some window sequence."""
+    ratio_v tending to 0 along some window sequence. Every radius is
+    checked before any ball is built: a radius-0 ball has no edges."""
+    if any(r < 1 for r in radii):
+        raise InvalidWindowError("radii must be >= 1")
     rows = []
     for r in radii:
         w = ball(family, center, r)

@@ -111,12 +111,11 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
     distance not found. Both list the pairs x < y in vertex order.
 
     `table` is the window's source table, `distance_rows(f.source, verts,
-    verts, cutoff)`, when the caller already has it (`suite_row` derives it
-    from a table of the same window at another cutoff, see
-    `_source_table`). The target searches run on `graph`, an `IdGraph` of
-    f.target (a new one when None); without `table`, the source rows run
-    on that graph too for an endomap, and on a new `IdGraph` of f.source
-    otherwise.
+    verts, cutoff)`, when the caller already has it (`suite_row` passes
+    the one table of its ball, see `_source`). The target searches run on
+    `graph`, an `IdGraph` of f.target (a new one when None); without
+    `table`, the source rows run on that graph too for an endomap, and on
+    a new `IdGraph` of f.source otherwise.
 
     An endomap whose images all lie in the window reads its image distances
     from the source table: the family and the cutoff are the same, an entry
@@ -172,7 +171,7 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
 
 
 def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int,
-                 graph: Optional[IdGraph] = None) -> int:
+                 graph: IdGraph) -> int:
     """Covering radius of the image over the connecting-path skeleton.
 
     For every window edge (x, y) take the deterministic shortest target path
@@ -180,10 +179,8 @@ def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int,
     inside the image's footprint (a free-floating ball probe would report
     spurious gaps at its own fringe) while catching images that skip over
     intermediate target vertices. The paths and the probe search all run on
-    `graph`, an `IdGraph` of f.target (a new one when None).
+    `graph`, an `IdGraph` of f.target.
     """
-    if graph is None:
-        graph = IdGraph(f.target)
     verts = window.vertices
     image = {f(x) for x in verts}
     probe = set()
@@ -472,9 +469,9 @@ class QiRow:
 
 
 def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
-                 radius: int, graph: Optional[IdGraph] = None
-                 ) -> VertexFunction:
-    """Tent function of the distance to `center`, zero beyond `radius`."""
+                 radius: int, graph: IdGraph) -> VertexFunction:
+    """Tent function of the distance to `center`, zero beyond `radius`; the
+    search runs on `graph`, an `IdGraph` of `family`."""
     dist = bfs(family, [center], radius + 1, graph=graph)
     vals = np.zeros(window.n_vertices)
     for i, x in enumerate(window.vertices):
@@ -492,40 +489,23 @@ def _graph(shared: dict, family: GraphFamily) -> IdGraph:
     return graph
 
 
-def _source_ball(shared: dict, family: GraphFamily, r: int) -> FiniteWindow:
-    """The one radius-r ball about the family's origin in `shared`."""
-    w = shared.get(("ball", family, r))
-    if w is None:
-        w = shared[("ball", family, r)] = ball(family, family.origin, r)
-    return w
+def _source(shared: dict, family: GraphFamily, r: int):
+    """The radius-r ball about the family's origin and `distance_rows`
+    between all its vertices, built once per (family, r) in `shared`.
 
-
-def _source_table(shared: dict, family: GraphFamily, r: int,
-                  cutoff: int) -> np.ndarray:
-    """`distance_rows` from every vertex of the radius-r source ball to all
-    of them at depth `cutoff`, from the one table of that ball in `shared`.
-
-    The table is stored with the cutoff C it was computed at. For a cutoff
-    c < C, entries above c become -1, which is what depth c returns, and
-    the depth-C rows ran through every layer a depth-c row reaches, under
-    the same size checks. For c > C the table is reused only when it has
-    no -1: every row then found all its targets by depth C, so a deeper
-    search stops at the same layer. Otherwise the table is computed at c
-    and stored in place of the old one.
+    The table is searched to depth 2r. Any two vertices of the ball lie
+    within 2r of each other, through the origin, so every row has found
+    all its targets by then and stops at the layer where a deeper search
+    stops, under the same size checks. It is thus the table at every
+    cutoff >= 2r, and a row's cutoff 2k(r+2)+4 always is one.
     """
-    key = ("table", family, r)
-    stored = shared.get(key)
-    if stored is not None:
-        computed_at, table = stored
-        if cutoff < computed_at:
-            return np.where(table > cutoff, -1, table)
-        if cutoff == computed_at or table.min() >= 0:
-            return table
-    verts = _source_ball(shared, family, r).vertices
-    table = distance_rows(family, verts, verts, cutoff,
-                          _graph(shared, family))
-    shared[key] = (cutoff, table)
-    return table
+    key = ("source", family, r)
+    got = shared.get(key)
+    if got is None:
+        w = ball(family, family.origin, r)
+        got = shared[key] = (w, distance_rows(family, w.vertices, w.vertices,
+                                              2 * r, _graph(shared, family)))
+    return got
 
 
 def suite_row(f: QuasiMap, window_radius: int,
@@ -539,12 +519,9 @@ def suite_row(f: QuasiMap, window_radius: int,
     `shared` is a dict that the rows of one command pass along, empty for
     the first (a new one when None, which gives the same row). It holds one
     `IdGraph` per family, on which every search of the rows runs, and per
-    (family, radius) the source ball and its distance table with the
-    cutoff C it was computed at. Maps that check at other cutoffs share
-    that table (`_source_table`): a smaller cutoff c reads it with the
-    entries above c set to -1, a larger one reads it as it is if it has
-    no -1 entry, and otherwise the table is computed again. A row computes
-    its displacement once, for its wobble and for `lemma6_check`.
+    (family, radius) the source ball and its distance table (`_source`),
+    which serves every map's cutoff. A row computes its displacement once,
+    for its wobble and for `lemma6_check`.
     """
     r = window_radius
     if r < 1:
@@ -553,11 +530,9 @@ def suite_row(f: QuasiMap, window_radius: int,
         shared = {}
     src = f.source
     graph, image_graph = _graph(shared, src), _graph(shared, f.target)
-    w = _source_ball(shared, src, r)
+    w, table = _source(shared, src, r)
     k = math.ceil(f.claimed_distortion)
     cutoff = 2 * k * (r + 2) + 4
-
-    table = _source_table(shared, src, r, cutoff)
     rep = distortion_estimate(f, w, cutoff, table, image_graph)
 
     if f.is_endomap:

@@ -345,22 +345,34 @@ def _search(graph: IdGraph, sources: list, depth: int,
     return dist
 
 
+def _open_search(family: GraphFamily, sources: Iterable[VertexId],
+                 depth: int, targets: Optional[Iterable[VertexId]],
+                 graph: Optional[IdGraph]):
+    """What `id_bfs` and `distance_rows` do before they number anything:
+    check the depth, and that every source and target is a word of a tree
+    family, so that a shared graph never holds a non-word. Returns the
+    graph to search (`graph`, or a new `IdGraph` of the family when None)
+    and the sources and targets as lists, targets None when None."""
+    if depth < 0:
+        raise InvalidWindowError("radius must be >= 0")
+    sources = list(sources)
+    targets = None if targets is None else list(targets)
+    if family.tree_degree:
+        _check_words(family.tree_degree,
+                     sources if targets is None else sources + targets)
+    if graph is None:
+        graph = IdGraph(family)
+    return graph, sources, targets
+
+
 def id_bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
            targets: Optional[Iterable[VertexId]] = None,
            graph: Optional[IdGraph] = None):
     """`bfs` keyed by id: the `IdGraph` it ran on (`graph`, or a new one of
     the family when None), whose `index` and `vertices` translate ids, and
     its id -> distance table."""
-    if depth < 0:
-        raise InvalidWindowError("radius must be >= 0")
-    sources = list(sources)
-    targets = None if targets is None else list(targets)
-    if family.tree_degree:
-        # before numbering, so that a shared graph never holds a non-word
-        _check_words(family.tree_degree,
-                     sources if targets is None else sources + targets)
-    if graph is None:
-        graph = IdGraph(family)
+    graph, sources, targets = _open_search(family, sources, depth, targets,
+                                           graph)
     src = graph.ids(sources)
     tgt = None if targets is None else graph.ids(targets)
     return graph, _search(graph, src, depth, tgt)
@@ -396,13 +408,8 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     vertex's neighbours are fetched once for all of them. Each row's table is
     checked against `DEFAULT_SIZE_CAP` on its own.
     """
-    if depth < 0:
-        raise InvalidWindowError("radius must be >= 0")
-    sources, targets = list(sources), list(targets)
-    if family.tree_degree:
-        _check_words(family.tree_degree, sources + targets)
-    if graph is None:
-        graph = IdGraph(family)
+    graph, sources, targets = _open_search(family, sources, depth, targets,
+                                           graph)
     tgt = graph.ids(targets)
     out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
     for row, s in zip(out, graph.ids(sources)):

@@ -53,16 +53,55 @@ def test_scores_range_radii(capsys):
     assert [int(r[3]) for r in rows] == [1, 2, 3]
 
 
-def test_scores_json_matches_schema(capsys):
-    code, out, _ = run_cli(capsys, "scores", "--family", "z1",
-                           "--radii", "1", "--format", "json")
-    assert code == 0
+def _json_payload(capsys, *argv):
+    """The JSON a command prints, validated against the output schema."""
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
     payload = json.loads(out)
-    assert payload["command"] == "scores"
+    assert payload["command"] == argv[0]
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         (files("hodgedim") / "schemas" / "output.schema.json").read_text())
     jsonschema.validate(payload, schema)
+    return payload
+
+
+def test_scores_json_matches_schema(capsys):
+    _json_payload(capsys, "scores", "--family", "z1", "--radii", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("folner", "--family", "z2", "--radii", "1..3"),
+    ("cor4", "--family", "z2", "--window-radii", "1,2", "--factor", "2"),
+    ("qicheck", "--family", "z2", "--window-radii", "1,2"),
+], ids=lambda argv: argv[0])
+def test_json_matches_schema(capsys, argv):
+    rows = _json_payload(capsys, *argv)["rows"]
+    assert rows
+    if argv[0] == "qicheck":
+        # z2_to_diag is no endomap: its rows carry the -1 sentinels
+        diag = [row for row in rows if row["map_name"] == "z2_to_diag"]
+        assert diag and all(row["wobble"] == -1 and row["lemma6_ratio"] == -1.0
+                            for row in diag)
+
+
+def test_decompose_json_matches_schema(tmp_path, capsys):
+    w = ball(make_family("z2"), (0, 0), 1)
+    u = differential(VertexFunction(w, np.arange(w.n_vertices, dtype=float)))
+    wpath, epath = tmp_path / "window.json", tmp_path / "edges.csv"
+    wpath.write_text(window_to_json(w))
+    epath.write_text(edge_function_to_csv(u))
+    rows = _json_payload(capsys, "decompose", "--window", str(wpath),
+                         "--edges", str(epath))["rows"]
+    assert len(rows) == w.n_edges
+
+
+@pytest.mark.parametrize("radii", ["0..3", "0", "2,-1"])
+def test_folner_rejects_radii_below_one(capsys, radii):
+    code, out, err = run_cli(capsys, "folner", "--family", "z2",
+                             "--radii", radii)
+    assert code == 2 and out == ""
+    assert err == "hodgedim: configuration error: radii must be >= 1\n"
 
 
 def test_folner(capsys):

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from hodgedim import (BUILTIN_FAMILY_NAMES, MissingEdgeError, OrientedEdge,
+from hodgedim import (BUILTIN_FAMILY_NAMES, InvalidWindowError,
+                      MissingEdgeError, OrientedEdge,
                       Subspace, ball, corollary4_table,
                       diamond_score, dim_window, edge_ball, family_from_window,
                       family_edge, folner_profile, hd_score, induced_window,
@@ -264,6 +265,17 @@ def test_folner_profile(z2, tree3):
     # the tree's boundary never thins out
     trows = folner_profile(tree3, (), (2, 4, 6))
     assert min(r.ratio_v for r in trows) > 0.4
+
+
+def test_folner_profile_rejects_radii_below_one(monkeypatch, z2):
+    built = []
+    monkeypatch.setattr(dimension, "ball",
+                        lambda *args: built.append(args) or ball(*args))
+    for radii in ((0,), (1, 2, 0), (3, -1)):
+        with pytest.raises(InvalidWindowError, match="radii must be >= 1"):
+            folner_profile(z2, (0, 0), radii)
+    # every radius is checked before the first ball
+    assert built == []
 
 
 def test_lemma3_small_box(z2):

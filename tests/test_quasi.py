@@ -104,7 +104,8 @@ def _reference_distortion(f, window, cutoff):
             if dp > kc * d or d / kc - 1 > dp:
                 violations.append((x, y, d, dp))
     return DistortionReport(k_est=k_needed,
-                            density_gap=quasi._density_gap(f, window, cutoff),
+                            density_gap=quasi._density_gap(
+                                f, window, cutoff, windows.IdGraph(f.target)),
                             violations=tuple(violations),
                             inconclusive=tuple(inconclusive))
 
@@ -470,25 +471,33 @@ def test_shared_rows_raise_where_fresh_rows_do(monkeypatch, cap):
     assert (SizeLimitError, f"window would exceed {cap} vertices") in outcomes
 
 
-def test_source_table_reuse_rules(z2):
-    w = ball(z2, (0, 0), 3)  # diameter 6
-    shared = {}
-    for cutoff in (2, 1, 8, 3, 30, 5, 6, 7, 20):
-        got = quasi._source_table(shared, z2, 3, cutoff)
-        want = windows.distance_rows(z2, w.vertices, w.vertices, cutoff)
-        assert np.array_equal(got, want)
-    # the table from depth 2 has -1 entries, so depth 8 searched again; the
-    # one from depth 8 has none and served every later depth
-    assert shared[("table", z2, 3)][0] == 8
+def _table_outcome(fam, verts, depth):
+    try:
+        return windows.distance_rows(fam, verts, verts, depth).tolist()
+    except HodgedimError as exc:
+        return type(exc), str(exc)
 
 
-def test_distortion_from_a_deeper_table(z2):
-    w = ball(z2, (0, 0), 3)
-    shared = {}
-    quasi._source_table(shared, z2, 3, 20)
-    for name in ("identity", "translation", "coarsen"):
-        f = _map(name, z2)
-        got = distortion_estimate(f, w, 2, quasi._source_table(shared, z2, 3, 2))
-        want = distortion_estimate(f, w, 2)
-        assert want.inconclusive
-        assert repr(got) == repr(want)
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES)
+def test_source_table_serves_every_cutoff(monkeypatch, name):
+    """`_source`'s depth-2r table is the table at every map's cutoff, and
+    under a small size cap raises where the cutoff tables do."""
+    fam = make_family(name)
+    balls = {}
+    for r in range(1, 4 if name == "tree4" else 5):
+        w, table = quasi._source({}, fam, r)
+        balls[r] = w.vertices
+        for k in (1, 2, 3):
+            want = windows.distance_rows(fam, w.vertices, w.vertices,
+                                         2 * k * (r + 2) + 4)
+            assert np.array_equal(table, want)
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 40)
+    outcomes = []
+    for r, verts in balls.items():
+        outcome = _table_outcome(fam, verts, 2 * r)
+        for k in (1, 2, 3):
+            assert _table_outcome(fam, verts, 2 * k * (r + 2) + 4) == outcome
+        outcomes.append(outcome)
+    # the lattices' and trees' larger rows pass 40 vertices
+    if name not in ("z1", "ladder"):
+        assert (SizeLimitError, "window would exceed 40 vertices") in outcomes
