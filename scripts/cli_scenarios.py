@@ -68,9 +68,12 @@ def scenarios(tmp: Path):
     # the largest windows of the qi_battery benchmark workload
     yield "qicheck z2 radii 5,6", ["qicheck", "--family", "z2",
                                    "--window-radii", "5,6"]
-    for fam in ("comb", "z3"):
+    for fam in ("comb", "z3", "diag_lattice"):
         yield f"qicheck {fam} radii 2..6", ["qicheck", "--family", fam,
                                             "--window-radii", "2..6"]
+    # distance tables by translation orbit, past the benchmark's radii
+    yield "qicheck z1 radii 1..10", ["qicheck", "--family", "z1",
+                                     "--window-radii", "1..10"]
     # maps in orders that put a larger cutoff first
     for fam, maps, radii in QI_MAP_ORDERS:
         yield f"qicheck {fam} --map {maps}", ["qicheck", "--family", fam,

@@ -281,13 +281,14 @@ def corollary4_table(family: GraphFamily, center: VertexId,
     toward 0, bounded by the sigma_over_e column in the limit. Each row
     solves one edge ball per translation orbit of its window's edges (see
     `dim_window`): two on z2 and one on a tree, however large the window.
+    Every window radius is checked before any ball is built.
     """
     if score_radius_factor < 1:
         raise InvalidWindowError("score radius factor must be >= 1")
+    if any(wr < 1 for wr in window_radii):
+        raise InvalidWindowError("window radii must be >= 1")
     rows = []
     for wr in window_radii:
-        if wr < 1:
-            raise InvalidWindowError("window radii must be >= 1")
         w = ball(family, center, wr)
         r = score_radius_factor * wr
         est = dim_window(family, w, Subspace.HD, r, tol)

@@ -209,14 +209,13 @@ def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
     if not f.is_endomap:
         raise IncompatibleDomainError(
             "displacement needs source and target to coincide")
-    if graph is None:
-        graph = IdGraph(f.source)
     worst = 0
     for x in window.vertices:
         fx = f(x)
         if fx == x:
             continue
-        d = int(distance_rows(f.source, [x], [fx], cutoff, graph)[0, 0])
+        graph, dist = id_bfs(f.source, [x], cutoff, [fx], graph)
+        d = dist.get(graph.index[fx], -1)
         if d < 0:
             raise CutoffExceededError(
                 f"displacement of {x} exceeds cutoff {cutoff}")

@@ -405,17 +405,59 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     that search does not reach it.
 
     The rows share `graph` (a new `IdGraph` of the family when None), so each
-    vertex's neighbours are fetched once for all of them. Each row's table is
-    checked against `DEFAULT_SIZE_CAP` on its own.
+    vertex's neighbours are fetched once for all of them.
+
+    A family that declares translations on every coordinate has
+    d(s, t) = d(o, o + t - s) for its origin o, so one search from o to the
+    distinct offsets o + t - s gives every entry. Row i's own search stops
+    at layer L_i = min(depth, max_j d(s_i, t_j)); the union search stops at
+    max_i L_i, with the table of the largest row, |ball(max_i L_i)|. So it
+    raises SizeLimitError exactly when some row would, and finds an entry
+    exactly when that entry is <= depth, as its row does. Other families,
+    and coordinates that are not ints below 2**61 in size (where int64
+    could wrap), search once per row.
     """
     graph, sources, targets = _open_search(family, sources, depth, targets,
                                            graph)
+    found = (_offsets(family.origin, sources, targets) if sources
+             and 0 < family.translation_axes == len(family.origin) else None)
+    if found is not None:
+        offsets, inverse = found
+        tgt = graph.ids(offsets)
+        dist = _search(graph, graph.ids([family.origin]), depth, tgt)
+        got = np.array([dist.get(t, -1) for t in tgt], dtype=np.int64)
+        return got[inverse].reshape(len(sources), len(targets))
     tgt = graph.ids(targets)
     out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
     for row, s in zip(out, graph.ids(sources)):
         dist = _search(graph, [s], depth, tgt)
         row[:] = [dist.get(t, -1) for t in tgt]
     return out
+
+
+def _offsets(origin: VertexId, sources: list, targets: list):
+    """The distinct vectors origin + t - s over sources x targets, as
+    vertex tuples, and the index into them of each pair in row-major
+    (source, target) order. None unless every coordinate is an int of size
+    below 2**61, so that no sum wraps in int64. Rows are told apart by a
+    lexsort, which allocates nothing per unit of the coordinates' range."""
+    try:
+        pts = np.array([origin, *sources, *targets])
+    except ValueError:  # vertices of different lengths
+        return None
+    if (pts.dtype.kind != "i" or pts.shape[1:] != (len(origin),)
+            or pts.min() <= -2 ** 61 or pts.max() >= 2 ** 61):
+        return None
+    src = pts[1:len(sources) + 1]
+    off = (pts[len(sources) + 1:] - src[:, None]).reshape(-1, len(origin))
+    off += pts[0]
+    order = np.lexsort(off.T)
+    ranked = off[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(ranked), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return list(map(tuple, ranked[first].tolist())), inverse
 
 
 def _grow_window(family: GraphFamily, sources: list, radius: int,

@@ -12,6 +12,7 @@ import pytest
 
 from hodgedim import (SolverFailureError, ball, differential, edge_function_to_csv,
                       VertexFunction, make_family, window_to_json)
+from hodgedim import dimension
 from hodgedim.cli import main
 from conftest import BAD_EDGE_CSVS, REPO_ROOT, source_env
 
@@ -155,6 +156,17 @@ def test_cor4(capsys):
     assert header == ["family", "window_radius", "score_radius",
                       "hd_dim_estimate", "sigma_over_E"]
     assert [int(r[2]) for r in rows] == [2, 4]
+
+
+def test_cor4_checks_every_window_radius_first(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(dimension, "ball",
+                        lambda *args: built.append(args) or ball(*args))
+    code, out, err = run_cli(capsys, "cor4", "--family", "tree3",
+                             "--window-radii", "3,0", "--factor", "4")
+    assert code == 2 and out == ""
+    assert err == "hodgedim: configuration error: window radii must be >= 1\n"
+    assert built == []
 
 
 def test_decompose_roundtrip(tmp_path, capsys):

@@ -443,6 +443,82 @@ def test_bfs_is_the_tuple_walk(name):
             assert row == [one.get(y, -1) for y in targets or []]
 
 
+def _per_row_distance_rows(family, sources, targets, depth):
+    """`distance_rows` as one search per source row, the reference of the
+    one search over translation orbits."""
+    graph, sources, targets = windows._open_search(family, sources, depth,
+                                                   targets, None)
+    tgt = graph.ids(targets)
+    out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
+    for row, s in zip(out, graph.ids(sources)):
+        dist = windows._search(graph, [s], depth, tgt)
+        row[:] = [dist.get(t, -1) for t in tgt]
+    return out
+
+
+def _orbit_cases(fam, seed):
+    """(sources, targets, depth): seeded random sets with repeats and with
+    sources among the targets, one source, no targets, sources 2**40
+    apart, coordinates at 2**61 and past int64, and the two ends of int64,
+    whose difference wraps to -1 there."""
+    k = len(fam.origin)
+    rng = np.random.default_rng(seed)
+
+    def points(n, spread, at=0):
+        return [tuple(at + c for c in p)
+                for p in rng.integers(-spread, spread + 1, (n, k)).tolist()]
+
+    for depth in (0, 2, 4, 7) + ((30,) if k == 1 else ()):
+        sources, targets = points(5, 4), points(9, 6)
+        yield sources + sources[:2], targets + sources[1:3] + targets[:3], depth
+        yield sources[:1], targets, depth
+        yield sources, [], depth
+        far = points(2, 3, 2 ** 40)
+        yield sources[:2] + far, targets[:4] + far + points(2, 3, 2 ** 40), depth
+        for at in (2 ** 61, 2 ** 70):
+            big = points(2, 2, at)
+            yield big + sources[:1], big + points(3, 2, at) + targets[:2], depth
+        ends = [(-2 ** 63,) + (0,) * (k - 1), (2 ** 63 - 1,) + (0,) * (k - 1)]
+        yield ends[:1] + sources[:1], ends[1:] + targets[:2], depth
+
+
+def _rows_outcome(rows_of, *args):
+    """A distance table's dtype, shape and entries, or the type and message
+    of what it raised."""
+    try:
+        rows = rows_of(*args)
+    except SizeLimitError as exc:
+        return type(exc), str(exc)
+    return rows.dtype, rows.shape, rows.tolist()
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "diag_lattice"])
+def test_orbit_rows_are_the_per_row_searches(monkeypatch, name):
+    fam = make_family(name)
+    searches = []
+    search = windows._search
+    monkeypatch.setattr(windows, "_search",
+                        lambda *args: searches.append(1) or search(*args))
+    for cap in (40, 100, windows.DEFAULT_SIZE_CAP):
+        monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", cap)
+        outcomes = set()
+        for sources, targets, depth in _orbit_cases(fam, 11):
+            want = _rows_outcome(_per_row_distance_rows, fam, sources,
+                                 targets, depth)
+            searches.clear()
+            got = _rows_outcome(windows.distance_rows, fam, sources, targets,
+                                depth)
+            assert got == want
+            outcomes.add(got[0])
+            # coordinates below 2**61 in size: one search, else one per row
+            small = max(abs(c) for x in sources + targets for c in x) < 2 ** 61
+            if got[0] != SizeLimitError:
+                assert len(searches) == (1 if small else len(sources))
+        assert np.dtype(np.int64) in outcomes
+        if cap == 40:
+            assert SizeLimitError in outcomes
+
+
 def _tuple_window(family, sources, radius):
     """The tuple walk that built every non-tree window before the id search
     did, kept as its reference: one breadth-first walk fetches each window
