@@ -4,7 +4,8 @@
 Each row reports the estimated distortion, image density gap, displacement,
 and the two energy comparison ratios against their a priori constants. A
 ratio above its bound would be printed with a FAIL marker. The rows of one
-family share one `IdGraph` and, per radius, one source ball and its
+family run on one family object, whose `graph` caches the neighbour lists
+of all their searches, and share per radius one source ball and its
 distance table, as the rows of one `hodgedim qicheck` command do.
 """
 
@@ -33,7 +34,7 @@ def main() -> None:
     failures = 0
     for name in ns.families.split(","):
         fam = make_family(name.strip())
-        shared = {}  # one graph, and one ball and table per radius
+        shared = {}  # one ball and table per radius
         for m in builtin_maps(fam):
             for r in radii:
                 row = suite_row(m, r, shared)

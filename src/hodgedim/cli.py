@@ -54,8 +54,10 @@ def _parse_radii(text: str):
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, token.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"radius range {token!r} runs backwards")
+            out.extend(range(lo, hi + 1))
         elif token:
             out.append(int(token))
     if not out:

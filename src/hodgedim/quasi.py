@@ -39,7 +39,7 @@ from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, make_family
 from .solver import LaplacianMode, project_star
-from .windows import (FiniteWindow, IdGraph, ball, bfs, distance_rows, id_bfs,
+from .windows import (FiniteWindow, ball, bfs, distance_rows, id_bfs,
                       neighborhood)
 
 
@@ -62,16 +62,15 @@ class QuasiMap:
 # -- distances and deterministic paths ---------------------------------------
 
 def lex_min_path(family: GraphFamily, a: VertexId, b: VertexId,
-                 cutoff: int,
-                 graph: Optional[IdGraph] = None) -> Tuple[VertexId, ...]:
+                 cutoff: int) -> Tuple[VertexId, ...]:
     """One deterministic shortest path from a to b: walk back from b, always
     through the smallest predecessor vertex.
 
-    The search and the walk back run on `graph`, an `IdGraph` of `family`
-    (a new one when None); the paths of one density probe share one, so
-    each neighbour list is fetched once for all of them.
+    The search and the walk back run on `family.graph`, so the paths of one
+    density probe fetch each neighbour list once for all of them.
     """
-    graph, dist = id_bfs(family, [a], cutoff, [b], graph)
+    dist = id_bfs(family, [a], cutoff, [b])
+    graph = family.graph
     vertices, adjacent = graph.vertices, graph.adjacent
     cur = graph.index[b]
     if cur not in dist:
@@ -101,8 +100,7 @@ class DistortionReport:
 
 
 def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
-                        table: Optional[np.ndarray] = None,
-                        graph: Optional[IdGraph] = None) -> DistortionReport:
+                        table: Optional[np.ndarray] = None) -> DistortionReport:
     """Exhaustive pair check of the distortion inequalities on a window.
 
     violations lists the pairs (x, y, d, d') that break the *claimed*
@@ -112,10 +110,7 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
 
     `table` is the window's source table, `distance_rows(f.source, verts,
     verts, cutoff)`, when the caller already has it (`suite_row` passes
-    the one table of its ball, see `_source`). The target searches run on
-    `graph`, an `IdGraph` of f.target (a new one when None); without
-    `table`, the source rows run on that graph too for an endomap, and on
-    a new `IdGraph` of f.source otherwise.
+    the one table of its ball, see `_source`).
 
     An endomap whose images all lie in the window reads its image distances
     from the source table: the family and the cutoff are the same, an entry
@@ -124,13 +119,9 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
     the source row that already passed `DEFAULT_SIZE_CAP`.
     """
     verts = window.vertices
-    if graph is None:
-        graph = IdGraph(f.target)
     dist = table
     if dist is None:
-        dist = distance_rows(f.source, verts, verts, cutoff,
-                             graph if f.target == f.source
-                             else IdGraph(f.source))
+        dist = distance_rows(f.source, verts, verts, cutoff)
     images = [f(x) for x in verts]
     index = window.index
     if f.target == f.source and all(y in index for y in images):
@@ -140,8 +131,7 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
         distinct = list(dict.fromkeys(images))
         where = {y: j for j, y in enumerate(distinct)}
         pos = np.array([where[y] for y in images], dtype=np.int64)
-        image_dist = distance_rows(f.target, distinct, distinct, cutoff,
-                                   graph)
+        image_dist = distance_rows(f.target, distinct, distinct, cutoff)
 
     xs, ys = np.triu_indices(len(verts), 1)
     d = dist[xs, ys]
@@ -164,22 +154,19 @@ def distortion_estimate(f: QuasiMap, window: FiniteWindow, cutoff: int,
                                            d[k].tolist(), dp[k].tolist()))
 
     return DistortionReport(k_est=k_needed,
-                            density_gap=_density_gap(f, window, cutoff,
-                                                     graph),
+                            density_gap=_density_gap(f, window, cutoff),
                             violations=pairs(broken),
                             inconclusive=pairs(~known))
 
 
-def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int,
-                 graph: IdGraph) -> int:
+def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
     """Covering radius of the image over the connecting-path skeleton.
 
     For every window edge (x, y) take the deterministic shortest target path
     between f(x) and f(y); the probe is the union of those paths. This stays
     inside the image's footprint (a free-floating ball probe would report
     spurious gaps at its own fringe) while catching images that skip over
-    intermediate target vertices. The paths and the probe search all run on
-    `graph`, an `IdGraph` of f.target.
+    intermediate target vertices.
     """
     verts = window.vertices
     image = {f(x) for x in verts}
@@ -189,33 +176,30 @@ def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int,
         if fa == fb:
             probe.add(fa)
         else:
-            probe.update(lex_min_path(f.target, fa, fb, cutoff, graph))
-    dist = bfs(f.target, image, cutoff, targets=probe, graph=graph)
+            probe.update(lex_min_path(f.target, fa, fb, cutoff))
+    dist = bfs(f.target, image, cutoff, targets=probe)
     if not probe <= dist.keys():
         raise CutoffExceededError("density probe ran past the cutoff")
     return max(dist[y] for y in probe)
 
 
 def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
-                          cutoff: int = 64,
-                          graph: Optional[IdGraph] = None) -> int:
+                          cutoff: int = 64) -> int:
     """max over window vertices of d(x, f x); endomaps only.
 
-    The searches run on `graph`, an `IdGraph` of f.source (a new one when
-    None), so they fetch no neighbour list that an earlier search on it
-    fetched. `suite_row` computes this once per row and hands it to
-    `lemma6_check`.
+    `suite_row` computes this once per row and hands it to `lemma6_check`.
     """
     if not f.is_endomap:
         raise IncompatibleDomainError(
             "displacement needs source and target to coincide")
     worst = 0
+    index = f.source.graph.index
     for x in window.vertices:
         fx = f(x)
         if fx == x:
             continue
-        graph, dist = id_bfs(f.source, [x], cutoff, [fx], graph)
-        d = dist.get(graph.index[fx], -1)
+        dist = id_bfs(f.source, [x], cutoff, [fx])
+        d = dist.get(index[fx], -1)
         if d < 0:
             raise CutoffExceededError(
                 f"displacement of {x} exceeds cutoff {cutoff}")
@@ -278,14 +262,12 @@ class Lemma5Result:
 
 
 def lemma5_check(f: QuasiMap, v: VertexFunction, source_window: FiniteWindow,
-                 a: Optional[Iterable[VertexId]] = None,
-                 graph: Optional[IdGraph] = None) -> Lemma5Result:
+                 a: Optional[Iterable[VertexId]] = None) -> Lemma5Result:
     """Compare |d(f* v) . chi_A| against |dv . chi_B|, B = C_k(f(A)).
 
     v must live on a target window containing C_k of the full image of the
     source window; anything smaller raises InsufficientWindowError rather
-    than silently truncating B. The search for B runs on `graph`, an
-    `IdGraph` of f.target, when given.
+    than silently truncating B.
     """
     k = math.ceil(f.claimed_distortion)
     tw = v.window
@@ -302,7 +284,7 @@ def lemma5_check(f: QuasiMap, v: VertexFunction, source_window: FiniteWindow,
                 raise IncompatibleDomainError(
                     f"localization vertex {x} is outside the source window")
     image_a = {f(x) for x in a_verts}
-    b = neighborhood(f.target, sorted(image_a), k, graph)
+    b = neighborhood(f.target, sorted(image_a), k)
     for y in b:
         if not tw.has_vertex(y):
             raise InsufficientWindowError(
@@ -334,8 +316,8 @@ class Lemma6Result:
 
 
 def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
-                 cutoff: int = 64, displacement: Optional[int] = None,
-                 graph: Optional[IdGraph] = None) -> Lemma6Result:
+                 cutoff: int = 64,
+                 displacement: Optional[int] = None) -> Lemma6Result:
     """Check |f* v - v|^2 <= K(s, D) * energy(v) over a window.
 
     v must be defined on an enlargement of the window by the displacement
@@ -344,13 +326,12 @@ def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
 
     s is `displacement` when the caller has it, `wobbling_displacement(f,
     window, cutoff)` otherwise; `suite_row` passes the value it reports, so
-    the row searches for it once. The searches run on `graph`, an `IdGraph`
-    of f.source, when given.
+    the row searches for it once.
     """
     s = displacement
     if s is None:
-        s = wobbling_displacement(f, window, cutoff=cutoff, graph=graph)
-    needed = neighborhood(f.source, window.vertices, s, graph)
+        s = wobbling_displacement(f, window, cutoff=cutoff)
+    needed = neighborhood(f.source, window.vertices, s)
     tw = v.window
     for y in needed:
         if not tw.has_vertex(y):
@@ -468,24 +449,15 @@ class QiRow:
 
 
 def _radial_bump(family: GraphFamily, window: FiniteWindow, center: VertexId,
-                 radius: int, graph: IdGraph) -> VertexFunction:
-    """Tent function of the distance to `center`, zero beyond `radius`; the
-    search runs on `graph`, an `IdGraph` of `family`."""
-    dist = bfs(family, [center], radius + 1, graph=graph)
+                 radius: int) -> VertexFunction:
+    """Tent function of the distance to `center`, zero beyond `radius`."""
+    dist = bfs(family, [center], radius + 1)
     vals = np.zeros(window.n_vertices)
     for i, x in enumerate(window.vertices):
         d = dist.get(x)
         if d is not None and d < radius:
             vals[i] = (radius - d) / radius
     return VertexFunction(window, vals)
-
-
-def _graph(shared: dict, family: GraphFamily) -> IdGraph:
-    """The one `IdGraph` of `family` in `shared`."""
-    graph = shared.get(("graph", family))
-    if graph is None:
-        graph = shared[("graph", family)] = IdGraph(family)
-    return graph
 
 
 def _source(shared: dict, family: GraphFamily, r: int):
@@ -498,12 +470,11 @@ def _source(shared: dict, family: GraphFamily, r: int):
     stops, under the same size checks. It is thus the table at every
     cutoff >= 2r, and a row's cutoff 2k(r+2)+4 always is one.
     """
-    key = ("source", family, r)
-    got = shared.get(key)
+    got = shared.get((family, r))
     if got is None:
         w = ball(family, family.origin, r)
-        got = shared[key] = (w, distance_rows(family, w.vertices, w.vertices,
-                                              2 * r, _graph(shared, family)))
+        got = shared[family, r] = (w, distance_rows(family, w.vertices,
+                                                    w.vertices, 2 * r))
     return got
 
 
@@ -516,11 +487,12 @@ def suite_row(f: QuasiMap, window_radius: int,
     identity row reproduces ratio 1 exactly.
 
     `shared` is a dict that the rows of one command pass along, empty for
-    the first (a new one when None, which gives the same row). It holds one
-    `IdGraph` per family, on which every search of the rows runs, and per
+    the first (a new one when None, which gives the same row). It holds per
     (family, radius) the source ball and its distance table (`_source`),
-    which serves every map's cutoff. A row computes its displacement once,
-    for its wobble and for `lemma6_check`.
+    which serves every map's cutoff. Every search of the rows runs on its
+    family object's `graph`, which the rows of one command share too. A
+    row computes its displacement once, for its wobble and for
+    `lemma6_check`.
     """
     r = window_radius
     if r < 1:
@@ -528,21 +500,20 @@ def suite_row(f: QuasiMap, window_radius: int,
     if shared is None:
         shared = {}
     src = f.source
-    graph, image_graph = _graph(shared, src), _graph(shared, f.target)
     w, table = _source(shared, src, r)
     k = math.ceil(f.claimed_distortion)
     cutoff = 2 * k * (r + 2) + 4
-    rep = distortion_estimate(f, w, cutoff, table, image_graph)
+    rep = distortion_estimate(f, w, cutoff, table)
 
     if f.is_endomap:
-        wobble = wobbling_displacement(f, w, cutoff=cutoff, graph=graph)
+        wobble = wobbling_displacement(f, w, cutoff=cutoff)
     else:
         wobble = -1
 
     fo = f(src.origin)
     ecc = 0
-    dist_fo = bfs(f.target, [fo], cutoff, targets={f(x) for x in w.vertices},
-                  graph=image_graph)
+    dist_fo = bfs(f.target, [fo], cutoff,
+                  targets={f(x) for x in w.vertices})
     for x in w.vertices:
         d = dist_fo.get(f(x))
         if d is None:
@@ -551,12 +522,11 @@ def suite_row(f: QuasiMap, window_radius: int,
     margin = max(wobble, 0)
     t_radius = max(ecc + k, r + 2 * margin) + 2
     tw = ball(f.target, fo, t_radius)
-    v = _radial_bump(f.target, tw, fo, max(1, r - 2), image_graph)
+    v = _radial_bump(f.target, tw, fo, max(1, r - 2))
 
-    l5 = lemma5_check(f, v, w, a=None, graph=image_graph)
+    l5 = lemma5_check(f, v, w, a=None)
     if f.is_endomap:
-        l6 = lemma6_check(f, v, w, cutoff=cutoff, displacement=wobble,
-                          graph=graph)
+        l6 = lemma6_check(f, v, w, cutoff=cutoff, displacement=wobble)
         l6_ratio, l6_bound = l6.ratio, l6.bound
     else:
         l6_ratio, l6_bound = -1.0, -1.0

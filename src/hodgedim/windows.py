@@ -11,11 +11,11 @@ Construction is matrix-free friendly: edges live in two parallel numpy index
 arrays, not an adjacency matrix.
 
 This module also holds the package's graph search: one BFS on integer
-vertex ids (`IdGraph`), behind `bfs` for distance tables and neighborhoods,
-`distance_rows` for the tables of many sources at once, and the window
-builder behind `ball` and `induced_window`. Trees build their windows with
-an array kernel on integer word keys instead; those windows keep the keys
-and build their vertex tuples only when asked.
+vertex ids (a family's `IdGraph`), behind `bfs` for distance tables and
+neighborhoods, `distance_rows` for the tables of many sources at once, and
+the window builder behind `ball` and `induced_window`. Trees build their
+windows with an array kernel on integer word keys instead; those windows
+keep the keys and build their vertex tuples only when asked.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (InvalidWindowError, MissingEdgeError, SizeLimitError)
-from .families import GraphFamily, VertexId, encode_vertex
+from .families import GraphFamily, IdGraph, VertexId, encode_vertex
 
 # Most vertices a window may hold; read at each check, so tests can lower it.
 DEFAULT_SIZE_CAP = 2_000_000
@@ -264,58 +264,6 @@ def adjacency_apply(window: FiniteWindow, x: np.ndarray, out=None,
     return out
 
 
-class IdGraph:
-    """A family's vertices numbered 0, 1, ... in the order first met, with
-    the neighbour ids of each vertex fetched on first use: `family.neighbors`
-    runs at most once per vertex for the life of the graph, however many
-    searches share it.
-
-    Attributes:
-        index      vertex -> id
-        vertices   id -> vertex
-        adjacent   id -> tuple of neighbour ids, None until fetched
-    """
-
-    __slots__ = ("neighbors", "index", "vertices", "adjacent")
-
-    def __init__(self, family: GraphFamily):
-        self.neighbors = family.neighbors
-        self.index = {}
-        self.vertices = []
-        self.adjacent = []
-
-    def ids(self, xs: Iterable[VertexId]) -> list:
-        """The id of each of `xs`, numbering the vertices not met before."""
-        index, vertices, out = self.index, self.vertices, []
-        for x in xs:
-            i = index.get(x)
-            if i is None:
-                i = index[x] = len(vertices)
-                vertices.append(x)
-                self.adjacent.append(None)
-            out.append(i)
-        return out
-
-    def fetch(self, i: int) -> tuple:
-        """Fetch and number the neighbours of the vertex with id i. The
-        loop of `ids` is written out here, which saves a call per vertex of
-        every window and search."""
-        index, vertices, adjacent = self.index, self.vertices, self.adjacent
-        nb = []
-        for x in self.neighbors(vertices[i]):
-            j = index.get(x)
-            if j is None:
-                j = index[x] = len(vertices)
-                vertices.append(x)
-                adjacent.append(None)
-            nb.append(j)
-        # a tuple of ints, unlike a list, drops out of the cyclic garbage
-        # collector's scans, which on balls of 10^5 vertices cost a tenth of
-        # the build
-        nb = adjacent[i] = tuple(nb)
-        return nb
-
-
 def _search(graph: IdGraph, sources: list, depth: int,
             targets: Optional[list]) -> dict:
     """The package's one distance BFS, on ids: id -> distance, in discovery
@@ -346,13 +294,11 @@ def _search(graph: IdGraph, sources: list, depth: int,
 
 
 def _open_search(family: GraphFamily, sources: Iterable[VertexId],
-                 depth: int, targets: Optional[Iterable[VertexId]],
-                 graph: Optional[IdGraph]):
+                 depth: int, targets: Optional[Iterable[VertexId]]):
     """What `id_bfs` and `distance_rows` do before they number anything:
     check the depth, and that every source and target is a word of a tree
-    family, so that a shared graph never holds a non-word. Returns the
-    graph to search (`graph`, or a new `IdGraph` of the family when None)
-    and the sources and targets as lists, targets None when None."""
+    family, so that `family.graph` never holds a non-word. Returns the
+    sources and targets as lists, targets None when None."""
     if depth < 0:
         raise InvalidWindowError("radius must be >= 0")
     sources = list(sources)
@@ -360,27 +306,22 @@ def _open_search(family: GraphFamily, sources: Iterable[VertexId],
     if family.tree_degree:
         _check_words(family.tree_degree,
                      sources if targets is None else sources + targets)
-    if graph is None:
-        graph = IdGraph(family)
-    return graph, sources, targets
+    return sources, targets
 
 
 def id_bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
-           targets: Optional[Iterable[VertexId]] = None,
-           graph: Optional[IdGraph] = None):
-    """`bfs` keyed by id: the `IdGraph` it ran on (`graph`, or a new one of
-    the family when None), whose `index` and `vertices` translate ids, and
-    its id -> distance table."""
-    graph, sources, targets = _open_search(family, sources, depth, targets,
-                                           graph)
+           targets: Optional[Iterable[VertexId]] = None) -> dict:
+    """`bfs` keyed by id: the id -> distance table of a search on
+    `family.graph`, whose `index` and `vertices` translate ids."""
+    sources, targets = _open_search(family, sources, depth, targets)
+    graph = family.graph
     src = graph.ids(sources)
     tgt = None if targets is None else graph.ids(targets)
-    return graph, _search(graph, src, depth, tgt)
+    return _search(graph, src, depth, tgt)
 
 
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
-        targets: Optional[Iterable[VertexId]] = None,
-        graph: Optional[IdGraph] = None) -> dict:
+        targets: Optional[Iterable[VertexId]] = None) -> dict:
     """Graph distance from the source set to every vertex within `depth`,
     in discovery order.
 
@@ -388,24 +329,23 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     of them; layers are never cut short, so every vertex at distance <= the
     largest returned distance is present. Raises SizeLimitError once the
     table passes `DEFAULT_SIZE_CAP` vertices, and InvalidWindowError for a
-    source or target off a tree family's words. The search runs on `graph`
-    when given, which must be an `IdGraph` of `family`: searches that share
-    one fetch each neighbour list once between them.
+    source or target off a tree family's words. The search runs on
+    `family.graph`, so it fetches no neighbour list that an earlier search
+    on the same family object fetched.
     """
-    graph, dist = id_bfs(family, sources, depth, targets, graph)
-    vertices = graph.vertices
+    dist = id_bfs(family, sources, depth, targets)
+    vertices = family.graph.vertices
     return {vertices[i]: d for i, d in dist.items()}
 
 
 def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
-                  targets: Iterable[VertexId], depth: int,
-                  graph: Optional[IdGraph] = None) -> np.ndarray:
+                  targets: Iterable[VertexId], depth: int) -> np.ndarray:
     """int64 matrix whose row i holds, for each target, what
     `bfs(family, [sources[i]], depth, targets)` gives for it, and -1 where
     that search does not reach it.
 
-    The rows share `graph` (a new `IdGraph` of the family when None), so each
-    vertex's neighbours are fetched once for all of them.
+    The rows share `family.graph`, so each vertex's neighbours are fetched
+    once for all of them.
 
     A family that declares translations on every coordinate has
     d(s, t) = d(o, o + t - s) for its origin o, so one search from o to the
@@ -417,8 +357,8 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     and coordinates that are not ints below 2**61 in size (where int64
     could wrap), search once per row.
     """
-    graph, sources, targets = _open_search(family, sources, depth, targets,
-                                           graph)
+    sources, targets = _open_search(family, sources, depth, targets)
+    graph = family.graph
     found = (_offsets(family.origin, sources, targets) if sources
              and 0 < family.translation_axes == len(family.origin) else None)
     if found is not None:
@@ -468,9 +408,11 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     `neighbors`: it encodes each word as an int64 key whose digits are the
     word's letters shifted up by one, padded with zeros, so that sorting
     keys sorts the words as tuples. Every other family, and a tree whose
-    words do not fit in int64 keys, runs `_search` on a new `IdGraph`, which
-    numbers the window's n vertices 0..n-1, and then fetches the outer
-    layer's neighbours too: every window vertex's neighbour list is fetched
+    words do not fit in int64 keys, runs `_search` on a new `IdGraph` (not
+    `family.graph`, whose ids need not start at the window, and which would
+    keep the window's lists alive after the arrays are built). It numbers
+    the window's n vertices 0..n-1, and then fetches the outer layer's
+    neighbours too: every window vertex's neighbour list is fetched
     exactly once and gives its ambient degree, and its ids below n give its
     edges inside the window. numpy renumbers both ends of each edge into
     sorted vertex order.
@@ -724,11 +666,9 @@ def _is_edge(window: FiniteWindow, x: VertexId, y: VertexId) -> bool:
     return True
 
 
-def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId], k: int,
-                 graph: Optional[IdGraph] = None):
-    """C_k(A): sorted tuple of vertices within distance k of the set A; the
-    search runs on `graph` as in `bfs`."""
-    return tuple(sorted(bfs(family, vertex_set, k, graph=graph)))
+def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId], k: int):
+    """C_k(A): sorted tuple of vertices within distance k of the set A."""
+    return tuple(sorted(bfs(family, vertex_set, k)))
 
 
 def distance(family: GraphFamily, x: VertexId, y: VertexId,

@@ -269,6 +269,27 @@ def test_bad_radii(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, d, message", [
+    ("z2", "3", "family 'z2' has d = 2, not 3"),
+    ("tree3", "5", "family 'tree3' has d = 3, not 5"),
+    ("ladder", "3", "family 'ladder' takes no degree parameter"),
+])
+def test_d_that_disagrees_with_family(capsys, family, d, message):
+    got = run_cli(capsys, "folner", "--family", family, "--d", d,
+                  "--radii", "1")
+    assert got == (2, "", f"hodgedim: configuration error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scores", "--family", "z1", "--radii", "3..1,2"),
+    ("qicheck", "--family", "z1", "--window-radii", "2,3..1"),
+])
+def test_reversed_radius_range(capsys, argv):
+    assert run_cli(capsys, *argv) == (
+        2, "", "hodgedim: configuration error: radius range '3..1' runs "
+        "backwards\n")
+
+
 def test_bad_jobs(capsys):
     code, _, _ = run_cli(capsys, "scores", "--family", "z1", "--radii", "1",
                          "--jobs", "0")

@@ -72,6 +72,16 @@ def test_compact_names():
     assert make_family("z2").degree_bound == 4
 
 
+@pytest.mark.parametrize("name, d, fixed", [("z2", 3, 2), ("tree3", 5, 3),
+                                            (" Z1 ", 2, 1)])
+def test_compact_names_reject_another_d(name, d, fixed):
+    compact = name.strip().lower()
+    with pytest.raises(InvalidFamilyError) as exc:
+        make_family(name, d)
+    assert str(exc.value) == f"family {compact!r} has d = {fixed}, not {d}"
+    assert make_family(name, fixed).name == compact
+
+
 def test_ladder_and_comb_degrees():
     lad = make_family("ladder")
     assert lad.degree_bound == 3

@@ -104,8 +104,7 @@ def _reference_distortion(f, window, cutoff):
             if dp > kc * d or d / kc - 1 > dp:
                 violations.append((x, y, d, dp))
     return DistortionReport(k_est=k_needed,
-                            density_gap=quasi._density_gap(
-                                f, window, cutoff, windows.IdGraph(f.target)),
+                            density_gap=quasi._density_gap(f, window, cutoff),
                             violations=tuple(violations),
                             inconclusive=tuple(inconclusive))
 
@@ -428,32 +427,41 @@ def test_suite_row_non_endomap_sentinels(z2):
     assert row.lemma5_ratio <= row.lemma5_bound
 
 
-def _rows(maps, radii, shared=None):
-    """Each (map, radius) row in turn: its repr, or its error's type and
-    message. With `shared`, every row gets that one dict, as in the CLI;
-    without, each row makes its own."""
+def _rows(name, map_names, radii, shared=None):
+    """Each (map, radius) row in turn, for the maps of family `name` in the
+    order of `map_names`: its repr, or its error's type and message. With
+    `shared`, every row gets that one dict and the maps of one family
+    object, as in the CLI; without, each row runs on a new `make_family`
+    object, so that it shares neither the dict nor a graph."""
+    maps = {m.name: m for m in builtin_maps(make_family(name))}
     out = []
-    for m in maps:
+    for map_name in map_names:
         for r in radii:
             try:
-                row = (suite_row(m, r) if shared is None
-                       else suite_row(m, r, shared))
+                row = (suite_row(_map(map_name, make_family(name)), r)
+                       if shared is None
+                       else suite_row(maps[map_name], r, shared))
                 out.append(repr(row))
             except HodgedimError as exc:
                 out.append((type(exc), str(exc)))
     return out
 
 
+def _orders(name):
+    """The map names of family `name` in both orders; a tree family has
+    one map, so one order."""
+    names = tuple(m.name for m in builtin_maps(make_family(name)))
+    return dict.fromkeys((names, names[::-1]))
+
+
 @pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES)
 def test_shared_rows_match_fresh_rows(name):
-    maps = builtin_maps(make_family(name))
     # tree4's radius-4 table searches 354,293 vertices, some 7 s for both
     # runs; `scripts/cli_scenarios.py` checks that row against the parent
     radii = range(1, 4 if name == "tree4" else 5)
-    # reversed, the larger-cutoff source tables come first; a tree family
-    # has one map, so one order
-    for order in dict.fromkeys((maps, maps[::-1])):
-        assert _rows(order, radii, {}) == _rows(order, radii)
+    # reversed, the larger-cutoff source tables come first
+    for order in _orders(name):
+        assert _rows(name, order, radii, {}) == _rows(name, order, radii)
 
 
 @pytest.mark.parametrize("cap", (40, 100))
@@ -461,12 +469,11 @@ def test_shared_rows_raise_where_fresh_rows_do(monkeypatch, cap):
     monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", cap)
     outcomes = []
     for name in ("z2", "comb", "diag_lattice", "tree3"):
-        maps = builtin_maps(make_family(name))
-        for order in dict.fromkeys((maps, maps[::-1])):
+        for order in _orders(name):
             # so the CLI, which stops at the first error, stops at the same
             # row with the same message
-            fresh = _rows(order, range(1, 5))
-            assert _rows(order, range(1, 5), {}) == fresh
+            fresh = _rows(name, order, range(1, 5))
+            assert _rows(name, order, range(1, 5), {}) == fresh
             outcomes += fresh
     assert (SizeLimitError, f"window would exceed {cap} vertices") in outcomes
 

@@ -18,6 +18,7 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, FiniteWindow, InvalidWindowError,
                       sigma, transfer_edge_function, window_from_json,
                       window_to_json)
 from hodgedim import windows
+from hodgedim.families import IdGraph
 
 
 def test_z1_ball_counts(z1):
@@ -446,8 +447,8 @@ def test_bfs_is_the_tuple_walk(name):
 def _per_row_distance_rows(family, sources, targets, depth):
     """`distance_rows` as one search per source row, the reference of the
     one search over translation orbits."""
-    graph, sources, targets = windows._open_search(family, sources, depth,
-                                                   targets, None)
+    sources, targets = windows._open_search(family, sources, depth, targets)
+    graph = IdGraph(family)  # not family.graph, which the code under test uses
     tgt = graph.ids(targets)
     out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
     for row, s in zip(out, graph.ids(sources)):
@@ -612,44 +613,58 @@ def test_window_is_the_tuple_walk(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["z2", "tree3", "comb"])
 def test_distance_rows_fetch_each_neighbor_list_once(name):
-    fam, calls = _counted(make_family(name))
-    verts = neighborhood(fam, [fam.origin], 3)
-    calls.clear()
-    graph = windows.IdGraph(fam)
-    rows = windows.distance_rows(fam, verts, verts, 6, graph)
+    base = make_family(name)
+    verts = neighborhood(base, [base.origin], 3)
+    fam, calls = _counted(base)
+    rows = windows.distance_rows(fam, verts, verts, 6)
     assert len(calls) == len(set(calls))
     assert (rows == rows.T).all() and (np.diag(rows) == 0).all()
     assert rows.max() == 6
-    # a second table over the same graph fetches nothing new
+    # a second table on the same family object fetches nothing new
     fetched = len(calls)
-    windows.distance_rows(fam, verts[::-1], verts, 6, graph)
+    windows.distance_rows(fam, verts[::-1], verts, 6)
     assert len(calls) == fetched
 
 
 @pytest.mark.parametrize("name", ["z2", "tree3"])
 def test_searches_on_one_graph_fetch_each_neighbor_list_once(name):
+    base = make_family(name)
+    far = neighborhood(base, [base.origin], 3)[-1]
+    searches = (lambda f: windows.bfs(f, [f.origin], 4),
+                lambda f: windows.bfs(f, [far], 5, targets=[f.origin]),
+                lambda f: neighborhood(f, [f.origin, far], 2))
+    # each search on a family object of its own
+    want = [search(make_family(name)) for search in searches]
     fam, calls = _counted(make_family(name))
-    graph = windows.IdGraph(fam)
-    far = neighborhood(fam, [fam.origin], 3)[-1]
-    want = (windows.bfs(fam, [fam.origin], 4),
-            windows.bfs(fam, [far], 5, targets=[fam.origin]),
-            neighborhood(fam, [fam.origin, far], 2))
-    calls.clear()
-    got = (windows.bfs(fam, [fam.origin], 4, graph=graph),
-           windows.bfs(fam, [far], 5, targets=[fam.origin], graph=graph),
-           neighborhood(fam, [fam.origin, far], 2, graph))
+    got = [search(fam) for search in searches]
     # equal tables, in the same discovery order
     assert [list(t.items()) if isinstance(t, dict) else t for t in got] == \
         [list(t.items()) if isinstance(t, dict) else t for t in want]
     assert len(calls) == len(set(calls))
 
 
-def test_shared_tree_graph_numbers_no_bad_word(tree3):
-    graph = windows.IdGraph(tree3)
-    for sources, targets in (([(5,)], None), ([()], [(0, 7)])):
+def test_replaced_family_fetches_through_its_own_rule():
+    base = make_family("z2")
+    want = windows.bfs(base, [base.origin], 3)
+    held = len(base.graph.vertices)
+    fam, calls = _counted(base)
+    assert windows.bfs(fam, [fam.origin], 3) == want
+    # base's graph already holds these lists; the copy fetches each list
+    # the search expands, layers 0 to 2, through its own rule
+    assert sorted(calls) == sorted(x for x, d in want.items() if d < 3)
+    assert fam.graph is not base.graph
+    assert len(base.graph.vertices) == held
+
+
+def test_shared_tree_graph_numbers_no_bad_word():
+    fam = make_family("tree3")
+    searches = (lambda: windows.bfs(fam, [(5,)], 3),
+                lambda: windows.bfs(fam, [()], 3, [(0, 7)]),
+                lambda: windows.distance_rows(fam, [()], [(0, 7)], 3))
+    for search in searches:
         with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
-            windows.bfs(tree3, sources, 3, targets, graph)
-    assert graph.vertices == []
+            search()
+    assert fam.graph.vertices == []
 
 
 def test_distance(z2, tree3):
