@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -113,6 +114,12 @@ def scenarios(tmp: Path):
     w = ball(z2, (0, 0), 2)
     for label, text in BAD_EDGE_CSVS:
         yield f"decompose error: {label}", _decompose(tmp, label, w, text)
+    w = ball(z2, (0, 0), 8)
+    blob, edges_csv = window_to_json(w), edge_function_to_csv(
+        EdgeFunction(w, np.ones(w.n_edges)))
+    for label, edits in BAD_WINDOW_JSONS:
+        yield f"decompose error: {label}", _decompose(
+            tmp, label, _edited_blob(blob, edits), edges_csv)
 
 
 _HEAD = "tail,head,value\n"
@@ -143,12 +150,62 @@ BAD_EDGE_CSVS = (
      '"(0,0)"\n'),
 )
 
+# Window JSON edits that decompose rejects on the z2 ball of radius 8 (145
+# vertices, 256 edges): (label, edits), each edit (field, index, value) with
+# index None for the whole field. Where several items are bad, the first in
+# file order is the one reported.
+BAD_WINDOW_JSONS = (
+    ("edges null", (("edges", None, None),)),
+    ("edges dict", (("edges", None, {"0": [0, 1]}),)),
+    ("edges empty", (("edges", None, []),)),
+    ("edge [1]", (("edges", 0, [1]),)),
+    ("edge [0, 1, 2]", (("edges", 0, [0, 1, 2]),)),
+    ("edge [0.5, 2]", (("edges", 0, [0.5, 2]),)),
+    ("edge [True, 1]", (("edges", 0, [True, 1]),)),
+    ("edge [0, 999]", (("edges", 0, [0, 999]),)),
+    ("edge [-1, 0]", (("edges", 0, [-1, 0]),)),
+    ("edge dict", (("edges", 0, {"0": 1}),)),
+    ("edge index n", (("edges", 0, [0, 145]),)),
+    ("edge past int64", (("edges", 0, [0, 2 ** 70]),)),
+    ("edge 100 [-1, 0]", (("edges", 100, [-1, 0]),)),
+    ("edge 100 [0, True]", (("edges", 100, [0, True]),)),
+    ("edge out of range before edge of floats",
+     (("edges", 50, [0, 145]), ("edges", 60, [0.5, 2]))),
+    ("full_degree [4, 4]", (("full_degree", None, [4, 4]),)),
+    ("full_degree null", (("full_degree", None, None),)),
+    ("vertex [-2.7, 0.2]", (("vertices", 0, [-2.7, 0.2]),)),
+    ("vertex [-2, False]", (("vertices", 0, [-2, False]),)),
+    ("vertex ['-2', '0']", (("vertices", 0, ["-2", "0"]),)),
+    ("vertex 100 [3, True]", (("vertices", 100, [3, True]),)),
+    ("degree 4.9", (("full_degree", 0, 4.9),)),
+    ("degree True", (("full_degree", 0, True),)),
+    ("degree '4'", (("full_degree", 0, "4"),)),
+    ("degree past int64", (("full_degree", 0, 2 ** 70),)),
+    ("sigma 0.0", (("sigma", 0, 0.0),)),
+    ("sigma False", (("sigma", 0, False),)),
+    ("sigma '0'", (("sigma", 0, "0"),)),
+)
+
+
+def _edited_blob(text: str, edits) -> str:
+    """Window JSON `text` with the (field, index, value) edits made."""
+    blob = json.loads(text)
+    for field, index, value in edits:
+        if index is None:
+            blob[field] = value
+        else:
+            blob[field][index] = value
+    return json.dumps(blob)
+
 
 def _decompose(tmp: Path, name: str, window, edges_csv: str) -> list:
-    """decompose argv on `window` and `edges_csv`, both written into tmp."""
-    stem = tmp / name.replace(" ", "_").replace("=", "").replace(":", "")
+    """decompose argv on `window` (a FiniteWindow or its JSON) and
+    `edges_csv`, both written into tmp."""
+    if not isinstance(window, str):
+        window = window_to_json(window)
+    stem = tmp / "".join(c if c.isalnum() else "_" for c in name)
     wpath, epath = stem.with_suffix(".json"), stem.with_suffix(".csv")
-    wpath.write_text(window_to_json(window), encoding="utf-8")
+    wpath.write_text(window, encoding="utf-8")
     epath.write_text(edges_csv, encoding="utf-8")
     return ["decompose", "--window", str(wpath), "--edges", str(epath)]
 

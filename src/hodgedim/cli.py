@@ -124,24 +124,36 @@ def _cell(value) -> str:
     return str(value)
 
 
+class _Quoted(dict):
+    """CSV cells as csv.writer writes them with QUOTE_MINIMAL and "\\n"
+    line ends, each worked out once: a cell that holds a comma, a quote or a
+    newline goes in quotes, with its quotes doubled."""
+
+    def __missing__(self, cell):
+        self[cell] = out = ('"%s"' % cell.replace('"', '""') if "," in cell
+                            or '"' in cell or "\n" in cell else cell)
+        return out
+
+
 _SEQUENCES = (list, tuple, np.ndarray)
-# rows per csv.writer call: bounds the cell strings alive at once
+# rows formatted per write: bounds the cell strings alive at once
 _CHUNK_ROWS = 4096
 
 
-def _cells(part):
-    """CSV cells of a slice of one column; floats of an array through repr."""
-    if isinstance(part, np.ndarray):
-        values = part.tolist()
-        return map(repr, values) if part.dtype.kind == "f" else map(_cell, values)
-    return map(_cell, part)
+def _cells(part, quoted: _Quoted):
+    """Quoted CSV cells of a slice of one column; strings go straight in."""
+    values = part.tolist() if isinstance(part, np.ndarray) else part
+    if not set(map(type, values)) <= {str}:
+        values = map(_cell, values)
+    return map(quoted.__getitem__, values)
 
 
 def _emit(command: str, header, columns, fmt: str, out_path: str) -> None:
     """Write a table given by columns. A column is a list, tuple or array
-    with one value per row, or a single value that every row repeats and
-    that is formatted once. CSV goes out in chunks of rows as it is
-    formatted; the JSON object is written whole."""
+    with one value per row, or a single value that every row repeats. CSV
+    goes out in chunks of rows, one %-format per row with the repeated cells
+    formatted into it once and float arrays by %r; the JSON object is
+    written whole."""
     n = max((len(c) for c in columns if isinstance(c, _SEQUENCES)), default=0)
     with (nullcontext(sys.stdout) if out_path == "-" else
           open(out_path, "w", encoding="utf-8", newline="")) as fh:
@@ -154,15 +166,20 @@ def _emit(command: str, header, columns, fmt: str, out_path: str) -> None:
                  "rows": [dict(zip(header, r)) for r in zip(*full)]},
                 sort_keys=True, separators=(",", ":")) + "\n")
             return
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        same = [None if isinstance(c, _SEQUENCES) else _cell(c)
-                for c in columns]
+        quoted = _Quoted()
+        fh.write(",".join(map(quoted.__getitem__, header)) + "\n")
+        floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                  for c in columns]
+        row = ",".join("%r" if f else "%s" if isinstance(c, _SEQUENCES) else
+                       quoted[_cell(c)].replace("%", "%%")
+                       for c, f in zip(columns, floats)) + "\n"
+        varying = [(c, f) for c, f in zip(columns, floats)
+                   if isinstance(c, _SEQUENCES)]
         for start in range(0, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
-            writer.writerows(zip(*[
-                _cells(c[start:stop]) if cell is None else
-                repeat(cell, stop - start) for c, cell in zip(columns, same)]))
+            stop = start + _CHUNK_ROWS
+            fh.write("".join(map(row.__mod__, zip(*[
+                c[start:stop].tolist() if f else _cells(c[start:stop], quoted)
+                for c, f in varying]))))
 
 
 def _family(ns):

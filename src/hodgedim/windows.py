@@ -711,29 +711,46 @@ def window_to_json(window: FiniteWindow) -> str:
 
 def _int_list(value, what: str) -> list:
     # bool is an int subclass; int() would truncate a float or parse a string
-    if not (isinstance(value, list) and all(type(c) is int for c in value)):
+    if not (isinstance(value, list) and set(map(type, value)) <= {int}):
         raise ValueError(f"{what} {value!r} is not a list of integers")
     return value
 
 
+def _int_lists(value) -> bool:
+    """Whether a JSON value is a list of lists of integers, by whole-list
+    tests; `type(c) is int` rejects bools, which numpy takes as ints."""
+    return (type(value) is list and set(map(type, value)) <= {list}
+            and set(map(type, chain.from_iterable(value))) <= {int})
+
+
 def window_from_json(text: str) -> FiniteWindow:
+    # whole-list tests check the usual input; where one fails, the per-item
+    # checks find and name the first bad item
     try:
         payload = json.loads(text)
-        vertices = [tuple(_int_list(v, "vertex")) for v in payload["vertices"]]
+        vertices = payload["vertices"]
+        if not _int_lists(vertices):
+            vertices = [_int_list(v, "vertex") for v in vertices]
         n = len(vertices)
-        edges = payload["edges"]
-        for e in edges:
-            # checked inline: this loop is the hot part of loading a window
-            if not (isinstance(e, list) and len(e) == 2
-                    and all(type(c) is int and 0 <= c < n for c in e)):
-                raise ValueError(f"edge {e!r} is not a pair of vertex indices")
-        tails = np.array([e[0] for e in edges], dtype=np.int64)
-        heads = np.array([e[1] for e in edges], dtype=np.int64)
+        edges, pairs = payload["edges"], np.zeros(0, np.int64)
+        try:
+            if _int_lists(edges) and set(map(len, edges)) == {2}:
+                pairs = np.fromiter(chain.from_iterable(edges), np.int64,
+                                    2 * len(edges))
+        except OverflowError:  # a coordinate past int64, named below
+            pass
+        if not (pairs.size and 0 <= pairs.min() and pairs.max() < n):
+            for e in edges:
+                if not (isinstance(e, list) and len(e) == 2
+                        and all(type(c) is int and 0 <= c < n for c in e)):
+                    raise ValueError(
+                        f"edge {e!r} is not a pair of vertex indices")
+        tails, heads = pairs.reshape(-1, 2).T.copy()
         full_degree = np.array(_int_list(payload["full_degree"], "degrees"), np.int64)
         sigma_idx = set(_int_list(payload.get("sigma", []), "sigma"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidWindowError(f"malformed window JSON: {exc}") from exc
-    w = FiniteWindow(vertices, tails, heads, full_degree)
+    w = FiniteWindow(map(tuple, vertices), tails, heads, full_degree)
     if set(w.sigma_indices().tolist()) != sigma_idx:
         raise InvalidWindowError("sigma indices disagree with degrees")
     return w

@@ -13,7 +13,7 @@ import pytest
 from hodgedim import (SolverFailureError, ball, differential, edge_function_to_csv,
                       VertexFunction, make_family, window_to_json)
 from hodgedim import dimension
-from hodgedim.cli import main
+from hodgedim.cli import _emit, main
 from conftest import BAD_EDGE_CSVS, REPO_ROOT, source_env
 
 import numpy as np
@@ -230,6 +230,59 @@ def test_decompose_bad_edge_csv(tmp_path, capsys, label, text, error, message):
     assert code == 2
     assert out == ""
     assert err == f"hodgedim: configuration error: {message}\n"
+
+
+_CELLS = [",", '"', "\r", "\n", "%", "%s", "", " lead", "(0,1)", "(5)"]
+
+
+def _emit_columns(n):
+    """Columns of n rows, of every kind `_emit` formats, and constant
+    columns of every type."""
+    cells = (_CELLS * n)[:n]
+    floats = ([-0.0, 5e-324, 1e16, 0.1, -2.5, float("inf")] * n)[:n]
+    return {
+        "str": cells,
+        "labels": np.array(cells[::-1], dtype=object),
+        "bool": [k % 3 == 0 for k in range(n)],
+        "bool array": np.arange(n) % 2 == 0,
+        "int": list(range(-3, n - 3)),
+        "int array": np.arange(n, dtype=np.int64) * 7,
+        "float array": np.array(floats),
+        "float list": floats[::-1],
+        "wobble": ([-1, 0.5, -1, 2.0, 1e-300] * n)[:n],
+        "tuple": tuple(cells),
+        "const str": 'a,"%s"',
+        "const pct": "%",
+        "const bool": False,
+        "const int": -7,
+        "const float": -0.0,
+        "const tiny": 5e-324,
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 13, 9000])
+def test_emit_csv_bytes_match_csv_writer(tmp_path, n):
+    """`_emit` writes a table byte for byte as csv.writer does, with bools
+    as true/false and floats by repr, across the 4096-row chunks."""
+    columns = _emit_columns(n)
+    header = list(columns)
+    header[0] = "str,%s"  # header cells are quoted too
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    full = [c.tolist() if isinstance(c, np.ndarray) else
+            list(c) if isinstance(c, (list, tuple)) else [c] * n
+            for c in columns.values()]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([map(cell, row) for row in zip(*full)])
+    out = tmp_path / "out.csv"
+    _emit("test", header, list(columns.values()), "csv", str(out))
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from array import array
 from bisect import bisect_left
 
@@ -740,6 +741,38 @@ def test_json_rejects_malformed_fields(z2, key, value):
     else:
         blob[key] = value
     with pytest.raises(InvalidWindowError):
+        window_from_json(json.dumps(blob))
+
+
+# (field, index, value, message) on the z2 ball of radius 8 (145 vertices,
+# 256 edges): the first bad item of a field is named, wherever it stands, as
+# the per-item check names it
+@pytest.mark.parametrize("field, index, value, message", [
+    ("edges", 0, [True, 1], "edge [True, 1] is not a pair of vertex indices"),
+    ("edges", 100, [True, 1],
+     "edge [True, 1] is not a pair of vertex indices"),
+    ("edges", 100, [0, 145], "edge [0, 145] is not a pair of vertex indices"),
+    ("edges", 100, [-1, 0], "edge [-1, 0] is not a pair of vertex indices"),
+    ("edges", 200, [0.5, 2], "edge [0.5, 2] is not a pair of vertex indices"),
+    ("edges", 100, [0, 1, 2],
+     "edge [0, 1, 2] is not a pair of vertex indices"),
+    ("edges", 100, [0, 2 ** 70],
+     f"edge [0, {2 ** 70}] is not a pair of vertex indices"),
+    ("vertices", 0, [True, 0], "vertex [True, 0] is not a list of integers"),
+    ("vertices", 100, [3, False],
+     "vertex [3, False] is not a list of integers"),
+    ("vertices", 140, [8.0, 0], "vertex [8.0, 0] is not a list of integers"),
+    ("vertices", 50, 7, "vertex 7 is not a list of integers"),
+])
+@pytest.mark.parametrize("later", [False, True], ids=["alone", "later"])
+def test_json_names_the_first_bad_item(z2, field, index, value, message,
+                                       later):
+    blob = json.loads(window_to_json(ball(z2, (0, 0), 8)))
+    blob[field][index] = value
+    if later:  # a later bad item of another kind is not named
+        blob[field][index + 1] = [0, 1.5]
+    text = f"malformed window JSON: {message}"
+    with pytest.raises(InvalidWindowError, match=f"^{re.escape(text)}$"):
         window_from_json(json.dumps(blob))
 
 
