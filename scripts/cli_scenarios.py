@@ -63,6 +63,15 @@ def scenarios(tmp: Path):
                               "1,2,3", "--factor", "4"]
     yield "cor4 tree4", ["cor4", "--family", "tree4", "--window-radii", "1,2",
                          "--factor", "4"]
+    # the lattice_window_dim benchmark workload's command
+    yield "cor4 z2 radii 2,4,6", ["cor4", "--family", "z2", "--window-radii",
+                                  "2,4,6", "--factor", "4", "--tol", "1e-10",
+                                  "--jobs", "2"]
+    # z1 balls at many radii on the id search, and z3 edge balls on the kernel
+    yield "folner z1 radii 1..200", ["folner", "--family", "z1",
+                                     "--radii", "1..200"]
+    yield "scores z3 radii 1..10", ["scores", "--family", "z3",
+                                    "--radii", "1..10"]
     for fam in QI_FAMILIES:
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]

@@ -13,14 +13,16 @@ arrays, not an adjacency matrix.
 This module also holds the package's graph search: one BFS on integer
 vertex ids (a family's `IdGraph`), behind `bfs` for distance tables and
 neighborhoods, `distance_rows` for the tables of many sources at once, and
-the window builder behind `ball` and `induced_window`. Trees build their
-windows with an array kernel on integer word keys instead; those windows
-keep the keys and build their vertex tuples only when asked.
+the window builder behind `ball` and `induced_window`. Trees and most
+translation families build their windows with array kernels on int64 keys
+instead, on one layer loop; tree windows keep their keys and build their
+vertex tuples only when asked.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional
@@ -404,25 +406,24 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
                  check: bool) -> FiniteWindow:
     """Window on all vertices within `radius` of the sources.
 
-    A family with `tree_degree` goes through `_tree_window`, which calls no
-    `neighbors`: it encodes each word as an int64 key whose digits are the
-    word's letters shifted up by one, padded with zeros, so that sorting
-    keys sorts the words as tuples. Every other family, and a tree whose
-    words do not fit in int64 keys, runs `_search` on a new `IdGraph` (not
-    `family.graph`, whose ids need not start at the window, and which would
-    keep the window's lists alive after the arrays are built). It numbers
-    the window's n vertices 0..n-1, and then fetches the outer layer's
-    neighbours too: every window vertex's neighbour list is fetched
-    exactly once and gives its ambient degree, and its ids below n give its
-    edges inside the window. numpy renumbers both ends of each edge into
-    sorted vertex order.
+    Array kernels, which call `neighbors` at most once, build the windows
+    of trees (`_tree_window`) and of most translation families
+    (`_lattice_window`). Other families, and sources a kernel cannot key,
+    run `_search` on a new `IdGraph` (not `family.graph`, whose ids need not
+    start at the window, and which would keep the window's lists alive after
+    the arrays are built). It numbers the window's n vertices 0..n-1, and
+    then fetches the outer layer's neighbours too: every window vertex's
+    neighbour list is fetched exactly once and gives its ambient degree, and
+    its ids below n give its edges inside the window. numpy renumbers both
+    ends of each edge into sorted vertex order.
     """
     if radius < 0:
         raise InvalidWindowError("radius must be >= 0")
-    if family.tree_degree:
-        w = _tree_window(family.tree_degree, sources, radius, check)
-        if w is not None:
-            return w
+    w = (_tree_window(family.tree_degree, sources, radius, check)
+         if family.tree_degree else
+         _lattice_window(family, sources, radius, check))
+    if w is not None:
+        return w
     graph = IdGraph(family)
     n = len(_search(graph, graph.ids(sources), radius, None))
     adjacent, fetch = graph.adjacent, graph.fetch
@@ -459,6 +460,69 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     return FiniteWindow(order, tails, heads, degree[found], check=check)
 
 
+def _layers(layer: tuple, radius: int, step) -> list:
+    """The sorted distinct keys layer[0], and the per-key arrays layer[1:],
+    grown by `radius` layers, in layer order. `step(*layer)` lists a layer's
+    neighbours, with repeats, and their arrays; a neighbour of a vertex at
+    distance t lies at distance t-1, t or t+1, so only those two layers are
+    removed. Checks the size before each layer and after the last, as
+    `_search` does."""
+    layers, previous, n = [layer], layer[0][:0], layer[0].size
+    for _ in range(radius):
+        _check_size(n)
+        found = step(*layer)
+        # with return_index, np.unique skips the path that imports numpy.ma
+        keys, first = np.unique(found[0], return_index=True)
+        new = ~np.isin(keys, np.concatenate([previous, layer[0]]),
+                       assume_unique=True)
+        previous, layer = layer[0], tuple(a[first[new]] for a in found)
+        layers.append(layer)
+        n += layer[0].size
+    _check_size(n)
+    return [np.concatenate(a) for a in zip(*layers)]
+
+
+def _lattice_window(family: GraphFamily, sources: list, radius: int,
+                    check: bool) -> Optional[FiniteWindow]:
+    """`_grow_window` on a family with translations on every coordinate, in
+    integer arrays. A key's mixed-radix digits are a vertex's coordinates
+    less the low corner of the sources' bounding box widened by radius + 1
+    longest steps: key order is tuple order, and key + an offset's key never
+    wraps into the next row. None, for the id search, on a path (degree 2:
+    its two-vertex layers cost more than the search per vertex), and unless
+    the sources are tuples of the origin's length of ints (not bools), in a
+    box inside int64 of fewer than 2**62 keys."""
+    k = len(family.origin)
+    if not (0 < family.translation_axes == k and family.degree_bound > 2
+            and sources and _int_lists(sources, tuple)
+            and set(map(len, sources)) == {k}):
+        return None
+    offsets = np.subtract(family.neighbors(family.origin), family.origin)
+    margin = (radius + 1) * int(abs(offsets).max())
+    lo = [min(c) - margin for c in zip(*sources)]
+    hi = [max(c) + margin for c in zip(*sources)]
+    size = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(size) >= 2 ** 62 or min(lo) < -2 ** 63 or max(hi) >= 2 ** 63:
+        return None
+    stride = [math.prod(size[i + 1:]) for i in range(k)]
+    steps = np.sort(offsets @ stride)
+    start = np.unique(np.subtract(sources, lo) @ stride, return_index=True)[0]
+    keys, = _layers((start,), radius,
+                    lambda x: ((x[:, None] + steps).ravel(),))
+    keys.sort()
+    n, up = keys.size, steps[steps > 0]
+    # a column per offset key o > 0, ascending: hits in (tail, head) order
+    heads = np.searchsorted(keys, keys[:, None] + up)
+    hit = keys[np.minimum(heads, n - 1)] - keys[:, None] == up
+    tails, heads = np.nonzero(hit)[0], heads[hit]
+    # the vertex tuples last, once the edge temporaries are freed
+    columns = [(keys // s % m + a).tolist()
+               for s, m, a in zip(stride, size, lo)]
+    del keys, hit
+    return FiniteWindow(zip(*columns), tails, heads,
+                        np.full(n, len(offsets), np.int64), check=check)
+
+
 def _tree_window(d: int, sources: list, radius: int,
                  check: bool) -> Optional[FiniteWindow]:
     """`_grow_window` on the d-regular tree, in integer arrays.
@@ -471,13 +535,11 @@ def _tree_window(d: int, sources: list, radius: int,
     list the window's vertices in the order `FiniteWindow` needs. The parent
     of a word zeroes its last digit; its children set the next one.
 
-    The walk expands one whole layer at a time. A neighbor of a vertex at
-    distance t lies at distance t-1, t or t+1, so only the previous layer
-    and the current one are checked for repeats. Edges are the (parent,
-    child) pairs with both keys present, found with one `searchsorted`. The
-    window keeps the keys (`_TreeWords`) and builds no vertex tuple until
-    one is asked for: the score path reads only the edge arrays and finds
-    its endpoints in the keys.
+    `_layers` grows the ball with this step, carrying each word's length.
+    Edges are the (parent, child) pairs with both keys present, found with
+    one `searchsorted`. The window keeps the keys (`_TreeWords`) and builds
+    no vertex tuple until one is asked for: the score path reads only the
+    edge arrays and finds its endpoints in the keys.
 
     Raises InvalidWindowError for a source that is not a word of the tree.
     Returns None when W, the longest source word plus the radius, makes keys
@@ -491,16 +553,9 @@ def _tree_window(d: int, sources: list, radius: int,
     # unit[L]: place value of the L-th letter (unit[0] only stands in for
     # the root, whose digit below is 0)
     unit = base ** np.arange(width, -1, -1, dtype=np.int64)
-    frontier, first = np.unique(
-        np.array([_encode_word(x, base, width) for x in sources], np.int64),
-        return_index=True)
-    depth = np.array([len(x) for x in sources], np.int64)[first]
-    layers, lengths = [frontier], [depth]
-    previous = frontier[:0]
-    n = frontier.size
     letters = np.arange(1, d, dtype=np.int64)
-    for _ in range(radius):
-        _check_size(n)
+
+    def tree_step(frontier, depth):
         inner = depth > 0
         k, length = frontier[inner], depth[inner]
         u = unit[length]
@@ -511,23 +566,18 @@ def _tree_window(d: int, sources: list, radius: int,
         if not inner.all():  # the root, whose children take all d letters
             found.append(np.arange(1, d + 1, dtype=np.int64) * unit[1])
             found_len.append(np.ones(d, dtype=np.int64))
-        cand, first = np.unique(np.concatenate(found), return_index=True)
-        cand_len = np.concatenate(found_len)[first]
-        # layers are disjoint and unique, as np.unique made `cand`
-        new = ~np.isin(cand, np.concatenate([previous, frontier]),
-                       assume_unique=True)
-        previous, frontier, depth = frontier, cand[new], cand_len[new]
-        layers.append(frontier)
-        lengths.append(depth)
-        n += frontier.size
-    _check_size(n)
-    del previous, frontier, depth
-    keys = np.concatenate(layers)
+        return np.concatenate(found), np.concatenate(found_len)
+
+    frontier, first = np.unique(
+        np.array([_encode_word(x, base, width) for x in sources], np.int64),
+        return_index=True)
+    depth = np.array([len(x) for x in sources], np.int64)[first]
+    keys, lengths = _layers((frontier, depth), radius, tree_step)
+    n = keys.size
     step = keys.argsort()
     keys = keys[step]
-    words = _TreeWords(keys, np.concatenate(lengths)[step].astype(np.uint8),
-                       base, width)
-    del layers, lengths, step
+    words = _TreeWords(keys, lengths[step].astype(np.uint8), base, width)
+    del lengths, step
     parent, _ = words.parents()
     heads = np.flatnonzero(parent >= 0)
     tails = parent[heads]
@@ -716,10 +766,10 @@ def _int_list(value, what: str) -> list:
     return value
 
 
-def _int_lists(value) -> bool:
-    """Whether a JSON value is a list of lists of integers, by whole-list
-    tests; `type(c) is int` rejects bools, which numpy takes as ints."""
-    return (type(value) is list and set(map(type, value)) <= {list}
+def _int_lists(value, kind=list) -> bool:
+    """Whether `value` is a list of `kind`s of integers, by whole-list tests;
+    `type(c) is int` rejects bools, which numpy takes as ints."""
+    return (type(value) is list and set(map(type, value)) <= {kind}
             and set(map(type, chain.from_iterable(value))) <= {int})
 
 

@@ -92,8 +92,9 @@ def _counted(fam):
 
 
 def _tuple_walk(fam):
-    """The family without its tree declaration: windows walk tuples."""
-    return dataclasses.replace(fam, tree_degree=0)
+    """The family without its tree and translation declarations: windows
+    take the id search, not an array kernel."""
+    return dataclasses.replace(fam, tree_degree=0, translation_axes=0)
 
 
 @pytest.mark.parametrize("name, r", [("z2", 6), ("tree3", 8), ("comb", 5)])
@@ -119,6 +120,22 @@ def test_tree_windows_call_no_neighbors(name):
     assert edge_ball(fam, e, 8).n_vertices > 1000
     assert induced_window(fam, [(), (0,), (0, 1), (1,)]).n_edges == 3
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "diag_lattice"])
+def test_translation_windows_call_neighbors_once(name):
+    base = make_family(name)
+    e = origin_edge(base)
+    fam, calls = _counted(base)
+    for build in (lambda: ball(fam, fam.origin, 8),
+                  lambda: edge_ball(fam, e, 8),
+                  lambda: induced_window(fam, [fam.origin, e.head])):
+        calls.clear()
+        w = build()
+        if name == "z1":  # a path keeps the id search: a call per vertex
+            assert len(calls) == w.n_vertices
+        else:
+            assert calls == [fam.origin]
 
 
 @settings(deadline=None, max_examples=40)
@@ -156,7 +173,7 @@ def test_tree_keys_never_wrap(d, longest):
 
 
 def test_one_neighbor_call_per_induced_vertex(z2):
-    fam, calls = _counted(z2)
+    fam, calls = _counted(_tuple_walk(z2))
     w = induced_window(fam, [(i, j) for i in range(5) for j in range(4)])
     assert len(calls) == w.n_vertices == 20
 
@@ -610,6 +627,78 @@ def test_window_is_the_tuple_walk(monkeypatch, name):
     assert "window" in outcomes and InvalidWindowError in outcomes
     if name not in ("z1", "window"):
         assert SizeLimitError in outcomes
+
+
+TRANSLATION_FAMILIES = ("z1", "z2", "z3", "diag_lattice")
+
+
+def _lattice_edge_sources(k):
+    """(sources, whether the lattice kernel must leave them to the id
+    search): an edge near +-2**62 and at the ends of int64, a coordinate
+    past int64, a bool, a tuple of the wrong length, and sources 3, 2**40
+    and 2**62 apart, which stay apart at small radii."""
+    pad = (0,) * (k - 1)
+    for c in (2 ** 62 - 3, 2 ** 62 + 3, -2 ** 62 - 3, -2 ** 62 + 3):
+        yield [(c,) + pad, (c + 1,) + pad], False
+    for c in (2 ** 63 - 2, -2 ** 63):
+        yield [(c,) + pad, (c + 1,) + pad], True
+    yield [(2 ** 70,) + pad], True
+    yield [(True,) + pad], True
+    yield [(0,) * (k + 2)], True
+    for apart, fallback in ((3, False), (2 ** 40, False), (2 ** 62, True)):
+        yield [(0,) * k, pad + (apart,)], fallback
+
+
+def _any_outcome(build, *args):
+    """`_outcome`, or the type and message of any other exception."""
+    try:
+        return _outcome(build, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_and_walk(fam, sources, r):
+    """The lattice kernel's outcome, unchecked, against the tuple walk's,
+    and checked (connectivity included) against the id search's."""
+    got = _any_outcome(windows._grow_window, fam, sources, r, False)
+    assert got == _any_outcome(_tuple_window, fam, sources, r)
+    assert (_any_outcome(windows._grow_window, fam, sources, r, True)
+            == _any_outcome(windows._grow_window, _tuple_walk(fam), sources,
+                            r, True))
+    return got[0] if isinstance(got[0], type) else "window"
+
+
+@pytest.mark.parametrize("name", TRANSLATION_FAMILIES)
+def test_lattice_kernel_edge_sources(monkeypatch, name):
+    fam = make_family(name)
+    monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 40)
+    outcomes = set()
+    for sources, fallback in _lattice_edge_sources(len(fam.origin)):
+        for r in (*range(9), 20):
+            try:
+                kernel = windows._lattice_window(fam, sources, r, False)
+            except (InvalidWindowError, SizeLimitError):
+                kernel = "raised"
+            # z1, a path, is always left to the id search
+            assert (kernel is None) == (fallback or name == "z1")
+            outcomes.add(_kernel_and_walk(fam, sources, r))
+    assert {"window", InvalidWindowError, SizeLimitError} <= outcomes
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_lattice_kernel_matches_tuple_walk(data):
+    fam = make_family(data.draw(st.sampled_from(TRANSLATION_FAMILIES)))
+    k = len(fam.origin)
+    at = data.draw(st.tuples(*[st.integers(-60, 60)] * k))
+    near = st.tuples(*[st.integers(-4, 4)] * k).map(
+        lambda v: tuple(a + b for a, b in zip(at, v)))
+    sources = data.draw(st.lists(near, min_size=1, max_size=4))
+    r = data.draw(st.integers(0, 8))
+    for cap in (40, windows.DEFAULT_SIZE_CAP):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "DEFAULT_SIZE_CAP", cap)
+            _kernel_and_walk(fam, sources, r)
 
 
 @pytest.mark.parametrize("name", ["z2", "tree3", "comb"])
