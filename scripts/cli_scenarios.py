@@ -84,6 +84,10 @@ def scenarios(tmp: Path):
     # distance tables by translation orbit, past the benchmark's radii
     yield "qicheck z1 radii 1..10", ["qicheck", "--family", "z1",
                                      "--window-radii", "1..10"]
+    # deep tree distance tables, of 10^3 to 10^4 words at the largest radii
+    for fam, radii in (("tree3", "1..6"), ("tree4", "1..4")):
+        yield f"qicheck {fam} radii {radii}", ["qicheck", "--family", fam,
+                                               "--window-radii", radii]
     # maps in orders that put a larger cutoff first
     for fam, maps, radii in QI_MAP_ORDERS:
         yield f"qicheck {fam} --map {maps}", ["qicheck", "--family", fam,

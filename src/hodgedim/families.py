@@ -44,8 +44,9 @@ class GraphFamily:
     translation_axes = k declares neighbors(x + v) == neighbors(x) + v for
     every integer v supported on the first k coordinates (0: none). Such a
     shift keeps the vertex order, so translated windows have equal arrays.
-    With k == len(origin), distance tables rely on it too: each entry is
-    d(origin, origin + t - s) (see `windows.distance_rows`).
+    With k == len(origin), the steps at the origin fix the whole graph:
+    `windows.distance_rows` reads the metric of z^k and of the triangular
+    lattice off them, and `quasi` finds one path or displacement per step.
 
     tree_degree = d declares that `neighbors` is the d-regular tree rule of
     `make_family("tree", d)` (0: it is not). Window building then skips

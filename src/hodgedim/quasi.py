@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,8 +40,8 @@ from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, make_family
 from .solver import LaplacianMode, project_star
-from .windows import (FiniteWindow, ball, bfs, distance_rows, id_bfs,
-                      neighborhood)
+from .windows import (FiniteWindow, _tree_ball_bound, ball, bfs,
+                      distance_rows, id_bfs, neighborhood)
 
 
 @dataclass(frozen=True)
@@ -167,16 +168,28 @@ def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
     inside the image's footprint (a free-floating ball probe would report
     spurious gaps at its own fringe) while catching images that skip over
     intermediate target vertices.
+
+    A shift keeps distances and the vertex order, so on a target with
+    translations on every coordinate each distinct step fb - fa is searched
+    once, from its first edge (which any error names), and shifted after.
     """
     verts = window.vertices
     image = {f(x) for x in verts}
     probe = set()
+    orbit = 0 < f.target.translation_axes == len(f.target.origin)
+    paths = {}  # step fb - fa -> the path less fa
     for a, b in zip(window.edge_tails.tolist(), window.edge_heads.tolist()):
         fa, fb = f(verts[a]), f(verts[b])
         if fa == fb:
             probe.add(fa)
-        else:
+        elif not orbit or len(fa) != len(fb):  # no path joins two lengths
             probe.update(lex_min_path(f.target, fa, fb, cutoff))
+        else:
+            step = tuple(map(sub, fb, fa))
+            if step not in paths:
+                paths[step] = [tuple(map(sub, y, fa)) for y in
+                               lex_min_path(f.target, fa, fb, cutoff)]
+            probe.update(tuple(map(add, y, fa)) for y in paths[step])
     dist = bfs(f.target, image, cutoff, targets=probe)
     if not probe <= dist.keys():
         raise CutoffExceededError("density probe ran past the cutoff")
@@ -188,18 +201,22 @@ def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
     """max over window vertices of d(x, f x); endomaps only.
 
     `suite_row` computes this once per row and hands it to `lemma6_check`.
+    With translations on every coordinate, d(x, f x) depends on f x - x
+    alone: one search per distinct f x - x, from the first x with it (which
+    any error names).
     """
     if not f.is_endomap:
         raise IncompatibleDomainError(
             "displacement needs source and target to coincide")
-    worst = 0
-    index = f.source.graph.index
-    for x in window.vertices:
-        fx = f(x)
-        if fx == x:
-            continue
-        dist = id_bfs(f.source, [x], cutoff, [fx])
-        d = dist.get(index[fx], -1)
+    orbit = 0 < f.source.translation_axes == len(f.source.origin)
+    first = {}  # f x - x, or (x, f x) where no shift applies -> (x, f x)
+    for x, fx in zip(window.vertices, map(f, window.vertices)):
+        if fx != x:
+            first.setdefault(tuple(map(sub, fx, x)) if orbit
+                             and len(fx) == len(x) else (x, fx), (x, fx))
+    worst, index = 0, f.source.graph.index
+    for x, fx in first.values():
+        d = id_bfs(f.source, [x], cutoff, [fx]).get(index[fx], -1)
         if d < 0:
             raise CutoffExceededError(
                 f"displacement of {x} exceeds cutoff {cutoff}")
@@ -220,19 +237,6 @@ def pullback(f: QuasiMap, v: VertexFunction,
         if j is not None:
             vals[i] = v.values[j]
     return VertexFunction(source_window, vals)
-
-
-def _tree_ball_bound(degree_bound: int, r: int) -> int:
-    """Vertex count of a radius-r ball in the degree-D tree: an upper bound
-    for any graph with degree bound D."""
-    if r <= 0:
-        return 1
-    if degree_bound <= 1:
-        return 2
-    if degree_bound == 2:
-        return 2 * r + 1
-    q = degree_bound - 1
-    return 1 + degree_bound * (q ** r - 1) // (q - 1)
 
 
 def lemma5_constant(k: float, degree_bound: int) -> float:
@@ -511,14 +515,10 @@ def suite_row(f: QuasiMap, window_radius: int,
         wobble = -1
 
     fo = f(src.origin)
-    ecc = 0
-    dist_fo = bfs(f.target, [fo], cutoff,
-                  targets={f(x) for x in w.vertices})
-    for x in w.vertices:
-        d = dist_fo.get(f(x))
-        if d is None:
-            raise CutoffExceededError("image eccentricity exceeds cutoff")
-        ecc = max(ecc, d)
+    ecc = distance_rows(f.target, [fo], [f(x) for x in w.vertices], cutoff)
+    if (ecc < 0).any():
+        raise CutoffExceededError("image eccentricity exceeds cutoff")
+    ecc = int(ecc.max())
     margin = max(wobble, 0)
     t_radius = max(ecc + k, r + 2 * margin) + 2
     tw = ball(f.target, fo, t_radius)

@@ -16,7 +16,8 @@ neighborhoods, `distance_rows` for the tables of many sources at once, and
 the window builder behind `ball` and `induced_window`. Trees and most
 translation families build their windows with array kernels on int64 keys
 instead, on one layer loop; tree windows keep their keys and build their
-vertex tuples only when asked.
+vertex tuples only when asked. Trees, z^k and the triangular lattice read
+`distance_rows` off their closed-form metric, with no search.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 from bisect import bisect_left
 from itertools import chain, islice
+from operator import sub
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -346,60 +348,98 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     `bfs(family, [sources[i]], depth, targets)` gives for it, and -1 where
     that search does not reach it.
 
-    The rows share `family.graph`, so each vertex's neighbours are fetched
-    once for all of them.
-
-    A family that declares translations on every coordinate has
-    d(s, t) = d(o, o + t - s) for its origin o, so one search from o to the
-    distinct offsets o + t - s gives every entry. Row i's own search stops
-    at layer L_i = min(depth, max_j d(s_i, t_j)); the union search stops at
-    max_i L_i, with the table of the largest row, |ball(max_i L_i)|. So it
-    raises SizeLimitError exactly when some row would, and finds an entry
-    exactly when that entry is <= depth, as its row does. Other families,
-    and coordinates that are not ints below 2**61 in size (where int64
-    could wrap), search once per row.
+    Trees, z^k and the triangular lattice read it off their metric
+    (`_metric`). Row i's search stops at layer L_i = min(depth, max_j
+    d(s_i, t_j)), 0 with no targets, and raises SizeLimitError iff
+    |ball(L_i)| passes the cap; there |ball(L)| grows with L alone, so the
+    matrix raises iff |ball(max_i L_i)| does. Other families, and
+    coordinates that could wrap int64, search per row on `family.graph`.
     """
     sources, targets = _open_search(family, sources, depth, targets)
-    graph = family.graph
-    found = (_offsets(family.origin, sources, targets) if sources
-             and 0 < family.translation_axes == len(family.origin) else None)
-    if found is not None:
-        offsets, inverse = found
-        tgt = graph.ids(offsets)
-        dist = _search(graph, graph.ids([family.origin]), depth, tgt)
-        got = np.array([dist.get(t, -1) for t in tgt], dtype=np.int64)
-        return got[inverse].reshape(len(sources), len(targets))
-    tgt = graph.ids(targets)
-    out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
-    for row, s in zip(out, graph.ids(sources)):
-        dist = _search(graph, [s], depth, tgt)
-        row[:] = [dist.get(t, -1) for t in tgt]
+    metric = _metric(family, sources, targets)
+    if metric is None:
+        graph = family.graph
+        tgt = graph.ids(targets)
+        out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
+        for row, s in zip(out, graph.ids(sources)):
+            dist = _search(graph, [s], depth, tgt)
+            row[:] = [dist.get(t, -1) for t in tgt]
+        return out
+    src, tgt, pair_distance, ball_size = metric
+    out = np.empty((len(src), len(tgt)), dtype=np.int64)
+    # rows in chunks of about 2**18 cells, which bounds the temporaries
+    step = max(1, 2 ** 18 // max(1, tgt.size))
+    for i in range(0, len(src), step):
+        out[i:i + step] = pair_distance(src[i:i + step, None], tgt)
+    if len(src):
+        _check_size(ball_size(min(depth, int(out.max(initial=0)))))
+    out[out > depth] = -1
     return out
 
 
-def _offsets(origin: VertexId, sources: list, targets: list):
-    """The distinct vectors origin + t - s over sources x targets, as
-    vertex tuples, and the index into them of each pair in row-major
-    (source, target) order. None unless every coordinate is an int of size
-    below 2**61, so that no sum wraps in int64. Rows are told apart by a
-    lexsort, which allocates nothing per unit of the coordinates' range."""
+def _metric(family: GraphFamily, sources: list, targets: list):
+    """Sources and targets as int64 rows, d(s, t) on them and r -> |ball(r)|
+    for a tree, or a translation family whose steps at the origin (from
+    `family.graph`) are +-e_i (z^k) or those and +-(1, 1) (the triangular
+    lattice). None unless the vertices are int tuples (no bools) of the
+    origin's length whose coordinate ranges sum to under 2**63."""
+    d, k = family.tree_degree, len(family.origin)
+    if d:  # words as rows of letters, padded with -1 and -2
+        width = max(map(len, sources + targets), default=0)
+        src, tgt = (np.array([w + (pad,) * (width - len(w)) for w in ws],
+                             np.int64).reshape(len(ws), width)
+                    for ws, pad in ((sources, -1), (targets, -2)))
+        return src, tgt, _tree_distance, lambda r: _tree_ball_bound(d, r)
+    if not (0 < family.translation_axes == k
+            and _int_lists(sources + targets, tuple)):
+        return None
+    graph = family.graph
+    o, = graph.ids([family.origin])
+    steps = {tuple(map(sub, graph.vertices[i], family.origin))
+             for i in graph.adjacent[o] or graph.fetch(o)}
+    units = {tuple(s * (i == j) for j in range(k))
+             for i in range(k) for s in (1, -1)}
+    diagonal = steps == units | {(1, 1), (-1, -1)}
+    if not (diagonal or steps == units):
+        return None
     try:
-        pts = np.array([origin, *sources, *targets])
-    except ValueError:  # vertices of different lengths
+        pts = np.array(sources + targets, dtype=np.int64)
+    except (OverflowError, ValueError):  # past int64, or of mixed lengths
         return None
-    if (pts.dtype.kind != "i" or pts.shape[1:] != (len(origin),)
-            or pts.min() <= -2 ** 61 or pts.max() >= 2 ** 61):
+    if pts.shape[1:] != (k,) or (sum(pts.max(0).tolist())
+                                 - sum(pts.min(0).tolist()) >= 2 ** 63):
         return None
-    src = pts[1:len(sources) + 1]
-    off = (pts[len(sources) + 1:] - src[:, None]).reshape(-1, len(origin))
-    off += pts[0]
-    order = np.lexsort(off.T)
-    ranked = off[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(ranked), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return list(map(tuple, ranked[first].tolist())), inverse
+    return (pts[:len(sources)], pts[len(sources):],
+            lambda s, t: _lattice_distance(diagonal, s, t),
+            (lambda r: 3 * r * (r + 1) + 1) if diagonal else
+            lambda r: sum(2 ** j * math.comb(k, j) * math.comb(r, j)
+                          for j in range(k + 1)))
+
+
+def _lattice_distance(diagonal: bool, s: np.ndarray, t: np.ndarray):
+    size = np.abs(t - s)
+    # a step along +-(1, 1) moves both coordinates when they move the same way
+    same = diagonal and (t[..., 0] >= s[..., 0]) == (t[..., 1] >= s[..., 1])
+    return size.sum(-1) - same * size.min(-1)
+
+
+def _tree_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # |x| + |y| - 2 |common prefix|; the pads, -1 and -2, never match
+    common = np.logical_and.accumulate(s == t, axis=-1).sum(-1)
+    return (s >= 0).sum(-1) + (t >= 0).sum(-1) - 2 * common
+
+
+def _tree_ball_bound(degree_bound: int, r: int) -> int:
+    """Vertex count of a radius-r ball in the degree-D tree: an upper bound
+    for any graph with degree bound D."""
+    if r <= 0:
+        return 1
+    if degree_bound <= 1:
+        return 2
+    if degree_bound == 2:
+        return 2 * r + 1
+    q = degree_bound - 1
+    return 1 + degree_bound * (q ** r - 1) // (q - 1)
 
 
 def _grow_window(family: GraphFamily, sources: list, radius: int,
@@ -464,18 +504,18 @@ def _layers(layer: tuple, radius: int, step) -> list:
     """The sorted distinct keys layer[0], and the per-key arrays layer[1:],
     grown by `radius` layers, in layer order. `step(*layer)` lists a layer's
     neighbours, with repeats, and their arrays; a neighbour of a vertex at
-    distance t lies at distance t-1, t or t+1, so only those two layers are
-    removed. Checks the size before each layer and after the last, as
-    `_search` does."""
+    distance t lies at distance t-1, t or t+1, so one sort of those two
+    layers and the neighbours finds the new keys. Checks the size before
+    each layer and after the last, as `_search` does."""
     layers, previous, n = [layer], layer[0][:0], layer[0].size
     for _ in range(radius):
         _check_size(n)
         found = step(*layer)
-        # with return_index, np.unique skips the path that imports numpy.ma
-        keys, first = np.unique(found[0], return_index=True)
-        new = ~np.isin(keys, np.concatenate([previous, layer[0]]),
-                       assume_unique=True)
-        previous, layer = layer[0], tuple(a[first[new]] for a in found)
+        # with return_index, np.unique skips the path that imports numpy.ma;
+        # a new key is first met in `found`, at a nonnegative index there
+        first = np.unique(np.concatenate([previous, layer[0], found[0]]),
+                          return_index=True)[1] - previous.size - layer[0].size
+        previous, layer = layer[0], tuple(a[first[first >= 0]] for a in found)
         layers.append(layer)
         n += layer[0].size
     _check_size(n)

@@ -1,5 +1,5 @@
-"""Balls and Følner counts against the closed-form geometry of the
-translation families.
+"""Balls, Følner counts and distances against the closed-form geometry of
+the built-in families.
 
 The metrics and edge generators below are written from the definitions in
 `families.py`, and the counts from the coordination sequences of the
@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from hodgedim import ball, folner_profile, make_family, sigma
+from hodgedim.quasi import lex_min_path
+from hodgedim.windows import bfs, distance_rows
 
 
 def _l1(a, b):
@@ -110,3 +112,112 @@ def test_folner_counts_are_coordination_sums(name, radii):
             n, s = _lattice_ball_size(k, r), _lattice_sphere_size(k, r)
         assert (row.n_vertices, row.sigma_size) == (n, s)
     assert n >= 10 ** 5  # at the largest radius
+
+
+# -- distances ----------------------------------------------------------------
+
+def _comb(a, b):
+    # columns meet only on the spine b = 0
+    if a[0] == b[0]:
+        return abs(a[1] - b[1])
+    return abs(a[1]) + abs(a[0] - b[0]) + abs(b[1])
+
+
+def _tree(x, y):
+    common = 0
+    for p, q in zip(x, y):
+        if p != q:
+            break
+        common += 1
+    return len(x) + len(y) - 2 * common
+
+
+METRICS = {"z1": _l1, "z2": _l1, "z3": _l1, "ladder": _l1, "comb": _comb,
+           "diag_lattice": _triangular, "tree3": _tree}
+
+
+def _sample(name, rng):
+    """Every vertex near the origin (within 3 on each axis, or the words of
+    at most 4 letters), so that a wrong edge among them shows, and two
+    seeded vertices far apart from them."""
+    if name == "tree3":
+        def word(k):
+            return tuple(rng.integers(3, size=min(k, 1)).tolist()
+                         + rng.integers(2, size=max(k - 1, 0)).tolist())
+        return _words(4), [word(12), word(40)]
+    k = len(make_family(name).origin)
+    axes = [range(-3, 4)] * k
+    if name == "ladder":
+        axes[1] = (0, 1)
+    far = [tuple(c + int(rng.integers(-3, 4)) for c in p) for p in
+           ((10 ** 6,) + (1,) * (k - 1), (-2 ** 40,) + (0,) * (k - 1))]
+    if name == "ladder":
+        far = [(a, b % 2) for a, b in far]
+    return list(itertools.product(*axes)), far
+
+
+def _words(longest):
+    """The words of tree3 of at most `longest` letters."""
+    return [()] + [(a,) + rest for n in range(1, longest + 1) for a in range(3)
+                   for rest in itertools.product(range(2), repeat=n - 1)]
+
+
+def _metric_ball(name, sources, r):
+    """{x: distance from the sources} over the vertices within r, by the
+    metric alone: the ball lies in the L1 box about each source (every
+    metric here is at least L1), or, on the tree, among the words at most
+    r letters longer than the longest source."""
+    metric = METRICS[name]
+    if name == "tree3":
+        near = _words(max(map(len, sources)) + r)
+    else:
+        near = set()
+        for c in sources:
+            axes = [range(a - r, a + r + 1) for a in c]
+            if name == "ladder":
+                axes[1] = (0, 1)
+            near.update(itertools.product(*axes))
+    dist = {x: min(metric(c, x) for c in sources) for x in near}
+    return {x: t for x, t in dist.items() if t <= r}
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_distance_rows_are_the_metric(name):
+    metric = METRICS[name]
+    near, far = _sample(name, np.random.default_rng(13))
+    sources, targets = near + far[:1], near + far
+    # a row that misses a far target searches to the depth, and tree3's
+    # ball of radius 14 (49,150 words) stays inside the size cap
+    for depth in (0, 3, 14):
+        want = [[t if t <= depth else -1 for t in (metric(s, y)
+                                                    for y in targets)]
+                for s in sources]
+        rows = distance_rows(make_family(name), sources, targets, depth)
+        assert rows.tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_bfs_tables_are_metric_balls(name):
+    metric, rng = METRICS[name], np.random.default_rng(14)
+    near, far = _sample(name, rng)
+    fam = make_family(name)
+    for r in (0, 1, 4):
+        pick = [near[i] for i in rng.choice(len(near), 6, replace=False)]
+        for sources in (pick[:1], pick[1:3], far[:1]):
+            assert bfs(fam, sources, r) == _metric_ball(name, sources, r)
+        # with targets, the search stops after the layer of the last one
+        c, targets = pick[3], pick[4:]
+        stop = min(r, max(metric(c, t) for t in targets))
+        assert bfs(fam, [c], r, targets) == _metric_ball(name, [c], stop)
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_lex_min_paths_are_shortest(name):
+    metric = METRICS[name]
+    near, _ = _sample(name, np.random.default_rng(15))
+    fam = make_family(name)
+    for a, b in zip(near, near[::-1]):
+        path = lex_min_path(fam, a, b, metric(a, b))
+        assert (path[0], path[-1]) == (a, b)
+        assert len(path) == metric(a, b) + 1
+        assert all(metric(x, y) == 1 for x, y in zip(path, path[1:]))

@@ -218,6 +218,66 @@ def test_wobble(z2):
         wobbling_displacement(coarsen, w, cutoff=1)
 
 
+def _per_edge_density_gap(f, window, cutoff):
+    """`_density_gap` with one `lex_min_path` per window edge, the
+    reference of the one search per translation step."""
+    verts = window.vertices
+    probe = set()
+    for a, b in zip(window.edge_tails.tolist(), window.edge_heads.tolist()):
+        fa, fb = f(verts[a]), f(verts[b])
+        probe.update([fa] if fa == fb else
+                     lex_min_path(f.target, fa, fb, cutoff))
+    dist = windows.bfs(f.target, {f(x) for x in verts}, cutoff, probe)
+    if not probe <= dist.keys():
+        raise CutoffExceededError("density probe ran past the cutoff")
+    return max(dist[y] for y in probe)
+
+
+def _per_vertex_wobble(f, window, cutoff):
+    """`wobbling_displacement` with one search per moved vertex."""
+    worst = 0
+    for x in window.vertices:
+        if f(x) != x:
+            d = windows.distance(f.source, x, f(x), cutoff)
+            if d is None:
+                raise CutoffExceededError(
+                    f"displacement of {x} exceeds cutoff {cutoff}")
+            worst = max(worst, d)
+    return worst
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "diag_lattice", "comb"])
+def test_step_reuse_is_the_per_edge_search(monkeypatch, name):
+    fam = make_family(name)
+    maps = builtin_maps(fam) + (
+        # images of another length, whose steps cut short by zip equal the
+        # translation's: their searches must still run, and raise
+        QuasiMap("longer", fam, fam, lambda x: (x[0] + 1,) + x[1:]
+                 + ((0,) if x[0] == 2 else ()), 1.0),
+        QuasiMap("shorter", fam, fam, lambda x: (x[0] + 1,)
+                 + (x[1:-1] if x[0] == 1 else x[1:]), 1.0),
+        # steps past small cutoffs
+        QuasiMap("stretch", fam, fam, lambda x: (5 * x[0],) + x[1:], 5.0))
+    cases = [(ball(fam, fam.origin, r), cutoff)
+             for r, cutoff in ((1, 3), (2, 12), (3, 6))]
+    for cap in (40, windows.DEFAULT_SIZE_CAP):
+        monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", cap)
+        for f in maps:
+            for w, cutoff in cases:
+                assert (_outcome(quasi._density_gap, f, w, cutoff)
+                        == _outcome(_per_edge_density_gap, f, w, cutoff))
+                if f.is_endomap:
+                    assert (_outcome(wobbling_displacement, f, w, cutoff)
+                            == _outcome(_per_vertex_wobble, f, w, cutoff))
+
+
 def test_wobble_needs_endomap(z2):
     with pytest.raises(IncompatibleDomainError):
         wobbling_displacement(_map("z2_to_diag", z2), ball(z2, (0, 0), 1))

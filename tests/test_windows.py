@@ -5,6 +5,7 @@ import json
 import re
 from array import array
 from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -529,13 +530,99 @@ def test_orbit_rows_are_the_per_row_searches(monkeypatch, name):
                                 depth)
             assert got == want
             outcomes.add(got[0])
-            # coordinates below 2**61 in size: one search, else one per row
-            small = max(abs(c) for x in sources + targets for c in x) < 2 ** 61
+            # the closed form, with no search, where no coordinate is past
+            # int64 and the coordinate ranges sum to less than 2**63; else
+            # one search per row
+            axes = list(zip(*sources + targets))
+            closed = (all(-2 ** 63 <= c < 2 ** 63 for c in chain(*axes))
+                      and sum(max(c) - min(c) for c in axes) < 2 ** 63)
             if got[0] != SizeLimitError:
-                assert len(searches) == (1 if small else len(sources))
+                assert len(searches) == (0 if closed else len(sources))
         assert np.dtype(np.int64) in outcomes
         if cap == 40:
             assert SizeLimitError in outcomes
+
+
+def _guard_cases():
+    """z3 (sources, targets, depth, closed form expected) about the closed
+    form's wrap guard, with a near point in each so that some entries are
+    found: the corners +-(2**61 - 1), whose ranges sum to 3 (2**62 - 2),
+    past 2**63; two axes of them, 2**63 - 4; and ranges summing to
+    2**63 - 1 and 2**63 on one axis and on three."""
+    c = 2 ** 61 - 1
+    cases = [([(c, c, c), (-c, -c, -c)],
+              [(-c, -c, -c), (c, c, c), (c - 1, c, c), (-c, -c, 2 - c)],
+              False),
+             ([(c, c, 0)], [(-c, -c, 0), (c, c - 1, 0), (c, c, 0)], True)]
+    for top, closed in ((2 ** 62 - 1, True), (2 ** 62, False)):
+        cases.append(([(-2 ** 62, 0, 0)], [(top, 0, 0), (1 - 2 ** 62, 0, 0)],
+                      closed))
+        cases.append(([(0, 0, 0), (2 ** 61, 2 ** 61, 0)],
+                      [(0, 0, top), (2 ** 61, 2 ** 61 - 1, 0), (1, 0, 0)],
+                      closed))
+    return [(s, t, depth, closed) for s, t, closed in cases
+            for depth in (0, 1, 3)]
+
+
+def _word_cases(d, seed):
+    """(sources, targets, depth, True) on tree<d>: seeded word sets with
+    repeats and with sources among the targets, one source, no targets, no
+    sources, and words of 40 letters, longer than a window's int64 key."""
+    rng = np.random.default_rng(seed)
+
+    def word(length):
+        return tuple(rng.integers(d, size=min(length, 1)).tolist()
+                     + rng.integers(d - 1, size=max(length - 1, 0)).tolist())
+
+    def words(n, longest):
+        return [word(k) for k in rng.integers(0, longest + 1, n).tolist()]
+
+    cases = []
+    for depth in (0, 2, 5, 9 if d == 3 else 7):
+        sources, targets = words(6, 5), words(10, 6)
+        w = word(40)
+        cases += [(sources + sources[:2],
+                   targets + sources[1:3] + targets[:3], depth, True),
+                  (sources[:1], targets, depth, True),
+                  (sources, [], depth, True), ([], targets, depth, True),
+                  ([w, w[:-1], w[:-1], ()],
+                   [w + (0,), w[:36] + (d - 2,), w, (0,), w[:20]], depth,
+                   True)]
+    return cases
+
+
+@pytest.mark.parametrize("name", ["z3", "tree3", "tree4"])
+def test_metric_rows_are_the_per_row_searches(monkeypatch, name):
+    fam = make_family(name)
+    cases = (_word_cases(fam.tree_degree, 12) if fam.tree_degree
+             else _guard_cases())
+    searches = []
+    search = windows._search
+    monkeypatch.setattr(windows, "_search",
+                        lambda *args: searches.append(1) or search(*args))
+    entries = set()
+    for cap in (40, 100, windows.DEFAULT_SIZE_CAP):
+        monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", cap)
+        outcomes = set()
+        for sources, targets, depth, closed in cases:
+            want = _rows_outcome(_per_row_distance_rows, fam, sources,
+                                 targets, depth)
+            searches.clear()
+            got = _rows_outcome(windows.distance_rows, fam, sources, targets,
+                                depth)
+            assert got == want
+            outcomes.add(got[0])
+            if closed:
+                assert searches == []
+            elif got[0] != SizeLimitError:
+                assert len(searches) == len(sources)
+            if got[0] != SizeLimitError:
+                entries.update(chain(*got[2]))
+        assert np.dtype(np.int64) in outcomes
+        if cap == 40:
+            assert SizeLimitError in outcomes
+    # entries found, and entries past the depth
+    assert {1, -1} <= entries
 
 
 def _tuple_window(family, sources, radius):
