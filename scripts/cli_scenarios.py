@@ -72,6 +72,11 @@ def scenarios(tmp: Path):
                                      "--radii", "1..200"]
     yield "scores z3 radii 1..10", ["scores", "--family", "z3",
                                     "--radii", "1..10"]
+    # balls past the size cap, on a tree and on a lattice
+    yield "folner tree3 radii 25", ["folner", "--family", "tree3",
+                                    "--radii", "25"]
+    yield "folner z2 radii 10000000", ["folner", "--family", "z2",
+                                       "--radii", "10000000"]
     for fam in QI_FAMILIES:
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]

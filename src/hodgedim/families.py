@@ -17,9 +17,9 @@ Families:
 `family_from_window` additionally wraps a finite window as its own ambient
 graph so the generic machinery can run on finite graphs with no exterior.
 
-Each family object numbers the vertices its searches meet in one `IdGraph`
-(`GraphFamily.graph`), which caches their neighbour lists for as long as
-the object lives.
+Each family object numbers the vertices its searches and windows meet in
+one `IdGraph` (`GraphFamily.graph`), which caches their neighbour lists
+for as long as the object lives.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class GraphFamily:
     `windows._tree_window`).
     Both fields are plain data, which `dataclasses.replace` carries over.
 
-    `graph` is the object's `IdGraph`, built on first use; every search on
-    the object shares it. It is no field: `dataclasses.replace` gives a new
-    object with a graph of its own, on its own `neighbors`.
+    `graph` is the object's `IdGraph`, built on first use, which every
+    search and window on the object shares. No field: `dataclasses.replace`
+    gives a new object with a graph of its own, on its own `neighbors`.
     """
 
     name: str

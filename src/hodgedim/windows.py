@@ -10,14 +10,12 @@ by construction.
 Construction is matrix-free friendly: edges live in two parallel numpy index
 arrays, not an adjacency matrix.
 
-This module also holds the package's graph search: one BFS on integer
-vertex ids (a family's `IdGraph`), behind `bfs` for distance tables and
-neighborhoods, `distance_rows` for the tables of many sources at once, and
-the window builder behind `ball` and `induced_window`. Trees and most
-translation families build their windows with array kernels on int64 keys
-instead, on one layer loop; tree windows keep their keys and build their
-vertex tuples only when asked. Trees, z^k and the triangular lattice read
-`distance_rows` off their closed-form metric, with no search.
+This module also holds the package's graph search: one BFS on the integer
+vertex ids of `family.graph`, behind `bfs`, `distance_rows` and the window
+builder behind `ball` and `induced_window`. Trees and most translation
+families build windows with array kernels on int64 keys instead, on one
+layer loop; tree windows build vertex tuples only when asked. Trees, z^k
+and the triangular lattice read `distance_rows` off a closed-form metric.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain
 from operator import sub
 from typing import Iterable, NamedTuple, Optional
 
@@ -299,10 +297,10 @@ def _search(graph: IdGraph, sources: list, depth: int,
 
 def _open_search(family: GraphFamily, sources: Iterable[VertexId],
                  depth: int, targets: Optional[Iterable[VertexId]]):
-    """What `id_bfs` and `distance_rows` do before they number anything:
-    check the depth, and that every source and target is a word of a tree
-    family, so that `family.graph` never holds a non-word. Returns the
-    sources and targets as lists, targets None when None."""
+    """What `id_bfs`, `distance_rows` and `_grow_window` do before they
+    number anything: check the depth, and that each source and target is a
+    word of a tree family, so that `family.graph` never holds a non-word.
+    Returns the sources and targets as lists, targets None when None."""
     if depth < 0:
         raise InvalidWindowError("radius must be >= 0")
     sources = list(sources)
@@ -356,8 +354,9 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     coordinates that could wrap int64, search per row on `family.graph`.
     """
     sources, targets = _open_search(family, sources, depth, targets)
-    metric = _metric(family, sources, targets)
-    if metric is None:
+    size = _ball_size(family)
+    metric = size and _metric(family, sources, targets)
+    if not metric:
         graph = family.graph
         tgt = graph.ids(targets)
         out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
@@ -365,42 +364,30 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
             dist = _search(graph, [s], depth, tgt)
             row[:] = [dist.get(t, -1) for t in tgt]
         return out
-    src, tgt, pair_distance, ball_size = metric
+    src, tgt, pair_distance = metric
     out = np.empty((len(src), len(tgt)), dtype=np.int64)
     # rows in chunks of about 2**18 cells, which bounds the temporaries
     step = max(1, 2 ** 18 // max(1, tgt.size))
     for i in range(0, len(src), step):
         out[i:i + step] = pair_distance(src[i:i + step, None], tgt)
     if len(src):
-        _check_size(ball_size(min(depth, int(out.max(initial=0)))))
+        _check_size(size(min(depth, int(out.max(initial=0)))))
     out[out > depth] = -1
     return out
 
 
 def _metric(family: GraphFamily, sources: list, targets: list):
-    """Sources and targets as int64 rows, d(s, t) on them and r -> |ball(r)|
-    for a tree, or a translation family whose steps at the origin (from
-    `family.graph`) are +-e_i (z^k) or those and +-(1, 1) (the triangular
-    lattice). None unless the vertices are int tuples (no bools) of the
-    origin's length whose coordinate ranges sum to under 2**63."""
+    """Sources and targets as int64 rows and d(s, t) on them, on a family
+    that `_ball_size` counts. None unless the vertices are int tuples (no
+    bools) of the origin's length whose ranges sum to under 2**63."""
     d, k = family.tree_degree, len(family.origin)
     if d:  # words as rows of letters, padded with -1 and -2
         width = max(map(len, sources + targets), default=0)
         src, tgt = (np.array([w + (pad,) * (width - len(w)) for w in ws],
                              np.int64).reshape(len(ws), width)
                     for ws, pad in ((sources, -1), (targets, -2)))
-        return src, tgt, _tree_distance, lambda r: _tree_ball_bound(d, r)
-    if not (0 < family.translation_axes == k
-            and _int_lists(sources + targets, tuple)):
-        return None
-    graph = family.graph
-    o, = graph.ids([family.origin])
-    steps = {tuple(map(sub, graph.vertices[i], family.origin))
-             for i in graph.adjacent[o] or graph.fetch(o)}
-    units = {tuple(s * (i == j) for j in range(k))
-             for i in range(k) for s in (1, -1)}
-    diagonal = steps == units | {(1, 1), (-1, -1)}
-    if not (diagonal or steps == units):
+        return src, tgt, _tree_distance
+    if not _int_lists(sources + targets, tuple):
         return None
     try:
         pts = np.array(sources + targets, dtype=np.int64)
@@ -409,11 +396,40 @@ def _metric(family: GraphFamily, sources: list, targets: list):
     if pts.shape[1:] != (k,) or (sum(pts.max(0).tolist())
                                  - sum(pts.min(0).tolist()) >= 2 ** 63):
         return None
+    diagonal = (1, 1) in _origin_steps(family)
     return (pts[:len(sources)], pts[len(sources):],
-            lambda s, t: _lattice_distance(diagonal, s, t),
-            (lambda r: 3 * r * (r + 1) + 1) if diagonal else
-            lambda r: sum(2 ** j * math.comb(k, j) * math.comb(r, j)
-                          for j in range(k + 1)))
+            lambda s, t: _lattice_distance(diagonal, s, t))
+
+
+def _origin_steps(family: GraphFamily) -> list:
+    """x - origin for each neighbour x of the origin, from `family.graph`."""
+    graph = family.graph
+    o, = graph.ids([family.origin])
+    return [tuple(map(sub, graph.vertices[i], family.origin))
+            for i in graph.adjacent[o] or graph.fetch(o)]
+
+
+def _ball_size(family: GraphFamily):
+    """r -> |ball(r)| about one vertex, from the family alone, for a tree
+    or a family translated on every coordinate whose steps at the origin
+    are +-e_i (z^k) or those and +-(1, 1) (the triangular lattice); None
+    for others. For comparing with the cap only: a tree's radius is clamped
+    at the cap's bit length, past which its count passes the cap."""
+    d, k = family.tree_degree, len(family.origin)
+    if d:
+        return lambda r: _tree_ball_bound(
+            d, min(r, DEFAULT_SIZE_CAP.bit_length()))
+    if not 0 < family.translation_axes == k:
+        return None
+    steps = set(_origin_steps(family))
+    units = {tuple(s * (i == j) for j in range(k))
+             for i in range(k) for s in (1, -1)}
+    if steps == units | {(1, 1), (-1, -1)}:
+        return lambda r: 3 * r * (r + 1) + 1
+    if steps == units:
+        return lambda r: sum(2 ** j * math.comb(k, j) * math.comb(r, j)
+                             for j in range(k + 1))
+    return None
 
 
 def _lattice_distance(diagonal: bool, s: np.ndarray, t: np.ndarray):
@@ -446,58 +462,42 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
                  check: bool) -> FiniteWindow:
     """Window on all vertices within `radius` of the sources.
 
-    Array kernels, which call `neighbors` at most once, build the windows
-    of trees (`_tree_window`) and of most translation families
-    (`_lattice_window`). Other families, and sources a kernel cannot key,
-    run `_search` on a new `IdGraph` (not `family.graph`, whose ids need not
-    start at the window, and which would keep the window's lists alive after
-    the arrays are built). It numbers the window's n vertices 0..n-1, and
-    then fetches the outer layer's neighbours too: every window vertex's
-    neighbour list is fetched exactly once and gives its ambient degree, and
-    its ids below n give its edges inside the window. numpy renumbers both
-    ends of each edge into sorted vertex order.
+    A ball about vertices of a family that `_ball_size` counts raises
+    before anything is built once that count passes the cap: a ball about
+    sources holds the ball about each one. Array kernels build trees'
+    windows (`_tree_window`) and most translation families'
+    (`_lattice_window`). Others run `_search` on `family.graph` and fetch
+    the outer layer's lists there too, each once per family object; numpy
+    ranks the ids in vertex order and writes each edge once.
     """
-    if radius < 0:
-        raise InvalidWindowError("radius must be >= 0")
-    w = (_tree_window(family.tree_degree, sources, radius, check)
-         if family.tree_degree else
+    sources, _ = _open_search(family, sources, radius, None)
+    d, k = family.tree_degree, len(family.origin)
+    size = _ball_size(family)
+    if size and sources and (d or _int_lists(sources, tuple)
+                             and set(map(len, sources)) == {k}):
+        _check_size(size(radius))
+    w = (_tree_window(d, sources, radius, check) if d else
          _lattice_window(family, sources, radius, check))
     if w is not None:
         return w
-    graph = IdGraph(family)
-    n = len(_search(graph, graph.ids(sources), radius, None))
-    adjacent, fetch = graph.adjacent, graph.fetch
-    for i in range(n):  # the outer layer, which the search does not expand
-        if adjacent[i] is None:
-            fetch(i)
-    order, index = graph.vertices, graph.index
-    # rank of each id in sorted vertex order, n outside the window. Ids and
-    # ranks are int32, which halves the largest temporaries (np.fromiter
-    # raises rather than wrap); each temporary is freed once used, as on
-    # balls of 10^5 vertices and more they set the peak memory of a run.
-    rank = np.full(len(order), n, dtype=np.int32)
-    del graph, fetch, order[n:]
-    order.sort()
-    # id of each vertex, in sorted order
-    found = np.fromiter(map(index.__getitem__, order), np.int64, n)
-    del index
-    rank[found] = np.arange(n, dtype=np.int32)
-    degree = np.fromiter(map(len, islice(adjacent, n)), np.int64, n)
-    listed = rank[np.fromiter(chain.from_iterable(islice(adjacent, n)),
-                              np.int32, int(degree.sum()))]
-    del adjacent
-    owner = np.repeat(rank[:n], degree)
+    graph = family.graph
+    adjacent, vertices = graph.adjacent, graph.vertices
+    ids = sorted(_search(graph, graph.ids(sources), radius, None),
+                 key=vertices.__getitem__)
+    # the outer layer's lists too, which the search does not fetch
+    lists = [graph.fetch(i) if adjacent[i] is None else adjacent[i]
+             for i in ids]
+    n = len(ids)
+    rank = np.full(len(vertices), n)  # n outside the window
+    rank[ids] = np.arange(n)
+    degree = np.fromiter(map(len, lists), np.int64, n)
+    listed = rank[np.fromiter(chain.from_iterable(lists), np.int64)]
+    owner = np.repeat(np.arange(n), degree)
     # each edge once, from its end later in sorted order
     keep = listed < owner
-    key = listed[keep].astype(np.int64)
-    del listed
-    key *= n
-    key += owner[keep]
-    del owner, keep, rank
-    key.sort()
-    tails, heads = np.divmod(key, n)
-    del key
-    return FiniteWindow(order, tails, heads, degree[found], check=check)
+    key = np.sort(listed[keep] * n + owner[keep])
+    return FiniteWindow([vertices[i] for i in ids], *np.divmod(key, n),
+                        degree, check=check)
 
 
 def _layers(layer: tuple, radius: int, step) -> list:
@@ -537,7 +537,7 @@ def _lattice_window(family: GraphFamily, sources: list, radius: int,
             and sources and _int_lists(sources, tuple)
             and set(map(len, sources)) == {k}):
         return None
-    offsets = np.subtract(family.neighbors(family.origin), family.origin)
+    offsets = np.array(_origin_steps(family))
     margin = (radius + 1) * int(abs(offsets).max())
     lo = [min(c) - margin for c in zip(*sources)]
     hi = [max(c) + margin for c in zip(*sources)]
@@ -581,11 +581,9 @@ def _tree_window(d: int, sources: list, radius: int,
     no vertex tuple until one is asked for: the score path reads only the
     edge arrays and finds its endpoints in the keys.
 
-    Raises InvalidWindowError for a source that is not a word of the tree.
     Returns None when W, the longest source word plus the radius, makes keys
     too large for int64; the caller then runs the id search. Keys never wrap.
     """
-    _check_words(d, sources)
     base = d + 1
     width = max(map(len, sources), default=0) + radius
     if base ** width >= 2 ** 63:

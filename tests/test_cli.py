@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib.resources import files
 
@@ -396,6 +397,21 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "scores", "--family", "z1", "--radii", "1")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "folner --family tree3 --radii 40", "scores --family tree4 --radii 40",
+    "folner --family z3 --radii 10000000",
+    "folner --family diag_lattice --radii 3000000000",
+    "folner --family z1 --radii 1000000"])
+def test_oversized_windows_fail_before_they_are_built(capsys, argv):
+    # each ball would pass the size cap: the command fails on the ball's
+    # size instead of after searching two million vertices
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "hodgedim: configuration error: "
+                                "window would exceed 2000000 vertices\n")
 
 
 def test_console_entry_point(tmp_path):

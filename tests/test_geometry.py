@@ -156,20 +156,20 @@ def _sample(name, rng):
     return list(itertools.product(*axes)), far
 
 
-def _words(longest):
-    """The words of tree3 of at most `longest` letters."""
-    return [()] + [(a,) + rest for n in range(1, longest + 1) for a in range(3)
-                   for rest in itertools.product(range(2), repeat=n - 1)]
+def _words(longest, d=3):
+    """The words of tree<d> of at most `longest` letters."""
+    return [()] + [(a,) + rest for n in range(1, longest + 1) for a in range(d)
+                   for rest in itertools.product(range(d - 1), repeat=n - 1)]
 
 
 def _metric_ball(name, sources, r):
     """{x: distance from the sources} over the vertices within r, by the
     metric alone: the ball lies in the L1 box about each source (every
-    metric here is at least L1), or, on the tree, among the words at most
-    r letters longer than the longest source."""
-    metric = METRICS[name]
-    if name == "tree3":
-        near = _words(max(map(len, sources)) + r)
+    metric here is at least L1), or, on a tree, among the words at most r
+    letters longer than the longest source."""
+    metric = METRICS.get(name, _tree)
+    if name.startswith("tree"):
+        near = _words(max(map(len, sources)) + r, int(name[4:]))
     else:
         near = set()
         for c in sources:
@@ -221,3 +221,64 @@ def test_lex_min_paths_are_shortest(name):
         assert (path[0], path[-1]) == (a, b)
         assert len(path) == metric(a, b) + 1
         assert all(metric(x, y) == 1 for x, y in zip(path, path[1:]))
+
+
+# -- balls and Følner counts of comb, ladder and the trees -------------------
+
+# name -> (centres, an edge from a centre, the degree of a vertex)
+OTHER_GEOMETRY = {
+    "comb": ([(0, 0), (3, 5), (-4, -2)], lambda c: (c[0], c[1] + 1),
+             lambda x: 4 if x[1] == 0 else 2),
+    "ladder": ([(0, 0), (7, 1)], lambda c: (c[0], 1 - c[1]), lambda x: 3),
+    "tree3": ([(), (1,), (2, 0, 1)], lambda c: c + (0,), lambda x: 3),
+    "tree4": ([(), (1,), (2, 0, 1)], lambda c: c + (0,), lambda x: 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_GEOMETRY))
+def test_balls_of_the_other_families_are_metric_balls(name):
+    centres, edge, degree = OTHER_GEOMETRY[name]
+    fam = make_family(name)
+    for c in centres:
+        for sources in ([c], [c, edge(c)]):
+            for r in range(1, 6):
+                want = _metric_ball(name, sources, r)
+                w = ball(fam, sources, r)
+                assert list(w.vertices) == sorted(want)
+                assert set(sigma(w)) == {x for x, t in want.items() if t == r}
+                assert w.full_degree.tolist() == list(map(degree, w.vertices))
+
+
+def _comb_ball(r):
+    return [(a, b) for a in range(-r, r + 1)
+            for b in range(abs(a) - r, r - abs(a) + 1)]
+
+
+def _ladder_ball(r):
+    return [(a, b) for a in range(-r, r + 1) for b in (0, 1)
+            if abs(a) + b <= r]
+
+
+@pytest.mark.parametrize("name, radii", [
+    ("comb", (1, 2, 7, 224)),       # 100,801 vertices at r=224
+    ("ladder", (1, 2, 9, 25_000)),  # 100,000 vertices at r=25,000
+    ("tree3", (1, 2, 16)),          # 196,606 vertices at r=16
+    ("tree4", (1, 2, 9)),           # 39,365 vertices at r=9
+])
+def test_folner_counts_of_the_other_families(name, radii):
+    fam = make_family(name)
+    for row in folner_profile(fam, fam.origin, radii):
+        r = row.radius
+        if name == "comb":
+            n, s = 2 * r * r + 2 * r + 1, 4 * r
+        elif name == "ladder":
+            n, s = 4 * r, 3 if r == 1 else 4
+        else:  # Lyons & Peres, Probability on Trees and Networks
+            d = int(name[4:])
+            n = 1 + d * ((d - 1) ** r - 1) // (d - 2)
+            s = d * (d - 1) ** (r - 1)
+        assert (row.n_vertices, row.sigma_size) == (n, s)
+    if name in ("comb", "ladder"):  # the vertex set at the largest radius
+        closed = _comb_ball if name == "comb" else _ladder_ball
+        assert list(ball(fam, fam.origin, r).vertices) == closed(r)
+    assert n >= 10 ** 5 or name == "tree4"

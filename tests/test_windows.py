@@ -15,10 +15,10 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, FiniteWindow, InvalidWindowError,
                       LaplacianMode, MissingEdgeError, OrientedEdge,
                       SizeLimitError, VertexFunction, ball, distance,
                       edge_ball, edge_indicator, encode_vertex, family_edge,
-                      family_from_window, induced_window, make_family,
-                      neighborhood, origin_edge, project_star, same_window,
-                      sigma, transfer_edge_function, window_from_json,
-                      window_to_json)
+                      family_from_window, folner_profile, induced_window,
+                      make_family, neighborhood, origin_edge, project_star,
+                      same_window, sigma, transfer_edge_function,
+                      window_from_json, window_to_json)
 from hodgedim import windows
 from hodgedim.families import IdGraph
 
@@ -107,9 +107,16 @@ def test_one_neighbor_call_per_window_vertex(name, r):
     assert len(calls) == w.n_vertices
     assert sorted(calls) == list(w.vertices)
 
-    calls.clear()
-    w = edge_ball(fam, e, r)
-    assert len(calls) == w.n_vertices
+    # later windows on the same family object fetch only the lists that
+    # earlier ones did not
+    fetched = set(calls)
+    for build in (lambda: edge_ball(fam, e, r), lambda: ball(fam, e, r + 1),
+                  lambda: ball(fam, fam.origin, r)):
+        calls.clear()
+        w = build()
+        assert sorted(calls) == sorted(set(w.vertices) - fetched)
+        fetched.update(calls)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["tree3", "tree4"])
@@ -128,15 +135,31 @@ def test_translation_windows_call_neighbors_once(name):
     base = make_family(name)
     e = origin_edge(base)
     fam, calls = _counted(base)
+    fetched = set()
     for build in (lambda: ball(fam, fam.origin, 8),
                   lambda: edge_ball(fam, e, 8),
                   lambda: induced_window(fam, [fam.origin, e.head])):
         calls.clear()
         w = build()
-        if name == "z1":  # a path keeps the id search: a call per vertex
-            assert len(calls) == w.n_vertices
-        else:
-            assert calls == [fam.origin]
+        if name == "z1":
+            # a path keeps the id search: a call per window vertex whose
+            # list no earlier window on the family object fetched
+            assert sorted(calls) == sorted(set(w.vertices) - fetched)
+        else:  # the kernel reads the origin's steps, once per object
+            assert calls == ([] if fetched else [fam.origin])
+        fetched.update(calls)
+    assert len(fetched) == (18 if name == "z1" else 1)
+
+
+@pytest.mark.parametrize("name, radius, size", [
+    ("z1", 60, 121), ("comb", 12, 313), ("ladder", 40, 160)])
+def test_folner_fetches_each_list_once(name, radius, size):
+    # balls about one centre at radii 1..R on one family object fetch
+    # each vertex's list once: |ball(R)| calls in all
+    fam, calls = _counted(make_family(name))
+    rows = folner_profile(fam, fam.origin, range(1, radius + 1))
+    assert rows[-1].n_vertices == size
+    assert len(calls) == len(set(calls)) == size
 
 
 @settings(deadline=None, max_examples=40)
