@@ -139,6 +139,24 @@ def scenarios(tmp: Path):
         yield f"decompose error: {label}", _decompose(
             tmp, label, _edited_blob(blob, edits), edges_csv)
 
+    # edge CSVs longer than one 8 KiB read: an undecodable byte in a later
+    # read, the same after a bad header, and CRLF line ends with a CR as the
+    # last byte of the first read
+    w = ball(z2, (0, 0), 20)
+    text = edge_function_to_csv(
+        EdgeFunction(w, np.random.default_rng(12).normal(size=w.n_edges)))
+    for label, raw in (("", text.encode()),
+                       ("bad header, ", b"tail,head,val" + text[15:].encode())):
+        yield f"decompose error: {label}0xff at byte 20000", _decompose(
+            tmp, f"{label}0xff", w, raw[:20000] + b"\xff" + raw[20001:])
+    yield "decompose z2 r=20 CRLF", _decompose(tmp, "crlf", w,
+                                               _crlf_split(text, 8191))
+    # 8,464 rows: the output goes out in three chunks of rows
+    w = ball(z2, (0, 0), 46)
+    yield "decompose z2 r=46 seed=13", _decompose(
+        tmp, "z2 r=46", w, edge_function_to_csv(EdgeFunction(
+            w, np.random.default_rng(13).normal(size=w.n_edges))))
+
 
 _HEAD = "tail,head,value\n"
 # Edge CSVs that decompose rejects on the z2 ball of radius 2; where rows
@@ -216,16 +234,29 @@ def _edited_blob(text: str, edits) -> str:
     return json.dumps(blob)
 
 
-def _decompose(tmp: Path, name: str, window, edges_csv: str) -> list:
+def _decompose(tmp: Path, name: str, window, edges_csv) -> list:
     """decompose argv on `window` (a FiniteWindow or its JSON) and
-    `edges_csv`, both written into tmp."""
+    `edges_csv` (text, or bytes written as they are), both written into
+    tmp."""
     if not isinstance(window, str):
         window = window_to_json(window)
     stem = tmp / "".join(c if c.isalnum() else "_" for c in name)
     wpath, epath = stem.with_suffix(".json"), stem.with_suffix(".csv")
     wpath.write_text(window, encoding="utf-8")
-    epath.write_text(edges_csv, encoding="utf-8")
+    if isinstance(edges_csv, bytes):
+        epath.write_bytes(edges_csv)
+    else:
+        epath.write_text(edges_csv, encoding="utf-8")
     return ["decompose", "--window", str(wpath), "--edges", str(epath)]
+
+
+def _crlf_split(text: str, at: int) -> bytes:
+    """ASCII `text` with CRLF line ends, and spaces before one row's value
+    so that a CR is byte `at` and its LF the byte after."""
+    crlf = text.replace("\n", "\r\n")
+    cr = crlf.rindex("\r", 0, at)
+    value = crlf.rindex(",", 0, cr) + 1
+    return (crlf[:value] + " " * (at - cr) + crlf[value:]).encode()
 
 
 def _edited_rows(window) -> str:

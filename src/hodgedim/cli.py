@@ -152,19 +152,22 @@ def _emit(command: str, header, columns, fmt: str, out_path: str) -> None:
     """Write a table given by columns. A column is a list, tuple or array
     with one value per row, or a single value that every row repeats. CSV
     goes out in chunks of rows, one %-format per row with the repeated cells
-    formatted into it once and float arrays by %r; the JSON object is
-    written whole."""
+    formatted into it once and float arrays by %r. JSON goes out in the
+    same chunks, one json.dumps per chunk, as the bytes json.dumps gives
+    for the whole object."""
     n = max((len(c) for c in columns if isinstance(c, _SEQUENCES)), default=0)
     with (nullcontext(sys.stdout) if out_path == "-" else
           open(out_path, "w", encoding="utf-8", newline="")) as fh:
         if fmt == "json":
-            full = [c.tolist() if isinstance(c, np.ndarray) else
-                    c if isinstance(c, _SEQUENCES) else repeat(c, n)
-                    for c in columns]
-            fh.write(json.dumps(
-                {"command": command,
-                 "rows": [dict(zip(header, r)) for r in zip(*full)]},
-                sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write('{"command":%s,"rows":[' % json.dumps(command))
+            for start in range(0, n, _CHUNK_ROWS):
+                part = slice(start, start + _CHUNK_ROWS)
+                rows = json.dumps([dict(zip(header, r)) for r in zip(*[
+                    c[part].tolist() if isinstance(c, np.ndarray) else
+                    c[part] if isinstance(c, _SEQUENCES) else repeat(c)
+                    for c in columns])], sort_keys=True, separators=(",", ":"))
+                fh.write(rows[1:-1] if start == 0 else "," + rows[1:-1])
+            fh.write("]}\n")
             return
         quoted = _Quoted()
         fh.write(",".join(map(quoted.__getitem__, header)) + "\n")
@@ -241,7 +244,15 @@ def _cmd_decompose(ns):
     with open(ns.window, "r", encoding="utf-8") as fh:
         window = window_from_json(fh.read())
     with open(ns.edges, "r", encoding="utf-8") as fh:
-        u = edge_function_from_csv(window, fh.read())
+        try:
+            u = edge_function_from_csv(window, fh)
+        except (csv.Error, HodgedimError, ValueError):
+            # a failed parse reads the file whole, as the parse once did
+            # first: a bad byte is then named by its position in the file,
+            # and before any other error
+            fh.seek(0)
+            fh.read()
+            raise
     parts = hodge_decompose_finite(window, u, tol=ns.tol)
     rep = parts.report
     labels = np.array(window.labels, dtype=object)

@@ -228,19 +228,23 @@ def edge_function_to_csv(u: EdgeFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def edge_function_from_csv(window: FiniteWindow, text: str) -> EdgeFunction:
+def edge_function_from_csv(window: FiniteWindow,
+                           lines: str | Iterable[str]) -> EdgeFunction:
     """Rows are (tail, head, value); omitted edges default to zero, and a row
     given head first stores the negated value on the canonical edge.
 
-    One pass reads the rows into index and value buffers. A label spelled as
-    in `window.labels` is found by dict lookup; any other spelling, such as
-    "(0, 0)", is decoded and looked up. The edge checks then run on whole
-    arrays. The first offending row in file order raises, with the error a
+    `lines` is the CSV as one `str`, or as an iterable of its lines, such as
+    a file opened in text mode, which is then read one line at a time and
+    never held whole. One pass reads the rows into index and value buffers.
+    A label spelled as in `window.labels` is found by dict lookup; any other
+    spelling, such as "(0, 0)", is decoded and looked up. The edge checks
+    then run on whole arrays. The first offending row in file order raises, with the error a
     row-by-row reader would give: a row's endpoints are checked before its
     value, and a later row repeating an edge in either orientation is the
     duplicate.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(lines) if isinstance(lines, str)
+                        else lines)
     header = next(reader, None)
     if header is None or [c.strip().lower() for c in header[:3]] != \
             ["tail", "head", "value"]:

@@ -55,7 +55,8 @@ class GraphFamily:
     Both fields are plain data, which `dataclasses.replace` carries over.
 
     `graph` is the object's `IdGraph`, built on first use, which every
-    search and window on the object shares. No field: `dataclasses.replace`
+    search and window on the object about tuples of ints shares (see
+    `windows._graph`). No field: `dataclasses.replace`
     gives a new object with a graph of its own, on its own `neighbors`.
     """
 

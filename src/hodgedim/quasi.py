@@ -70,8 +70,7 @@ def lex_min_path(family: GraphFamily, a: VertexId, b: VertexId,
     The search and the walk back run on `family.graph`, so the paths of one
     density probe fetch each neighbour list once for all of them.
     """
-    dist = id_bfs(family, [a], cutoff, [b])
-    graph = family.graph
+    graph, dist = id_bfs(family, [a], cutoff, [b])
     vertices, adjacent = graph.vertices, graph.adjacent
     cur = graph.index[b]
     if cur not in dist:
@@ -214,9 +213,10 @@ def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
         if fx != x:
             first.setdefault(tuple(map(sub, fx, x)) if orbit
                              and len(fx) == len(x) else (x, fx), (x, fx))
-    worst, index = 0, f.source.graph.index
+    worst = 0
     for x, fx in first.values():
-        d = id_bfs(f.source, [x], cutoff, [fx]).get(index[fx], -1)
+        graph, dist = id_bfs(f.source, [x], cutoff, [fx])
+        d = dist.get(graph.index[fx], -1)
         if d < 0:
             raise CutoffExceededError(
                 f"displacement of {x} exceeds cutoff {cutoff}")

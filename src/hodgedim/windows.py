@@ -311,15 +311,23 @@ def _open_search(family: GraphFamily, sources: Iterable[VertexId],
     return sources, targets
 
 
+def _graph(family: GraphFamily, vertices: list) -> IdGraph:
+    """`family.graph`, or a throwaway graph when one of `vertices` is not a
+    tuple of ints. (True, 0) == (1, 0): numbered in the shared graph, a
+    caller's (True, 0) would stand for (1, 0) in every later search and
+    window on the object."""
+    return family.graph if _int_lists(vertices, tuple) else IdGraph(family)
+
+
 def id_bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
-           targets: Optional[Iterable[VertexId]] = None) -> dict:
-    """`bfs` keyed by id: the id -> distance table of a search on
-    `family.graph`, whose `index` and `vertices` translate ids."""
+           targets: Optional[Iterable[VertexId]] = None):
+    """`bfs` keyed by id: the graph searched, whose `index` and `vertices`
+    translate ids, and its id -> distance table."""
     sources, targets = _open_search(family, sources, depth, targets)
-    graph = family.graph
+    graph = _graph(family, sources if targets is None else sources + targets)
     src = graph.ids(sources)
     tgt = None if targets is None else graph.ids(targets)
-    return _search(graph, src, depth, tgt)
+    return graph, _search(graph, src, depth, tgt)
 
 
 def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
@@ -333,10 +341,11 @@ def bfs(family: GraphFamily, sources: Iterable[VertexId], depth: int,
     table passes `DEFAULT_SIZE_CAP` vertices, and InvalidWindowError for a
     source or target off a tree family's words. The search runs on
     `family.graph`, so it fetches no neighbour list that an earlier search
-    on the same family object fetched.
+    on the same family object fetched, unless a source or target is not a
+    tuple of ints (see `_graph`).
     """
-    dist = id_bfs(family, sources, depth, targets)
-    vertices = family.graph.vertices
+    graph, dist = id_bfs(family, sources, depth, targets)
+    vertices = graph.vertices
     return {vertices[i]: d for i, d in dist.items()}
 
 
@@ -351,13 +360,13 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     d(s_i, t_j)), 0 with no targets, and raises SizeLimitError iff
     |ball(L_i)| passes the cap; there |ball(L)| grows with L alone, so the
     matrix raises iff |ball(max_i L_i)| does. Other families, and
-    coordinates that could wrap int64, search per row on `family.graph`.
+    coordinates that could wrap int64, search per row on `_graph`.
     """
     sources, targets = _open_search(family, sources, depth, targets)
     size = _ball_size(family)
     metric = size and _metric(family, sources, targets)
     if not metric:
-        graph = family.graph
+        graph = _graph(family, sources + targets)
         tgt = graph.ids(targets)
         out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
         for row, s in zip(out, graph.ids(sources)):
@@ -466,8 +475,8 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     before anything is built once that count passes the cap: a ball about
     sources holds the ball about each one. Array kernels build trees'
     windows (`_tree_window`) and most translation families'
-    (`_lattice_window`). Others run `_search` on `family.graph` and fetch
-    the outer layer's lists there too, each once per family object; numpy
+    (`_lattice_window`). Others run `_search` on `_graph` and fetch the
+    outer layer's lists there too, each once per family object; numpy
     ranks the ids in vertex order and writes each edge once.
     """
     sources, _ = _open_search(family, sources, radius, None)
@@ -480,7 +489,7 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
          _lattice_window(family, sources, radius, check))
     if w is not None:
         return w
-    graph = family.graph
+    graph = _graph(family, sources)
     adjacent, vertices = graph.adjacent, graph.vertices
     ids = sorted(_search(graph, graph.ids(sources), radius, None),
                  key=vertices.__getitem__)
@@ -833,6 +842,7 @@ def window_from_json(text: str) -> FiniteWindow:
                         and all(type(c) is int and 0 <= c < n for c in e)):
                     raise ValueError(
                         f"edge {e!r} is not a pair of vertex indices")
+        del edges, payload["edges"]  # `pairs` holds them
         tails, heads = pairs.reshape(-1, 2).T.copy()
         full_degree = np.array(_int_list(payload["full_degree"], "degrees"), np.int64)
         sigma_idx = set(_int_list(payload.get("sigma", []), "sigma"))

@@ -286,6 +286,45 @@ def test_emit_csv_bytes_match_csv_writer(tmp_path, n):
     assert out.read_bytes() == want.getvalue().encode("utf-8")
 
 
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+def test_emit_json_bytes_match_json_dumps(tmp_path, n):
+    """`_emit` writes JSON in chunks of rows, byte for byte as json.dumps
+    writes the whole object."""
+    columns = _emit_columns(n)
+    header = list(columns)
+    full = [c.tolist() if isinstance(c, np.ndarray) else
+            list(c) if isinstance(c, (list, tuple)) else [c] * n
+            for c in columns.values()]
+    want = json.dumps({"command": "test",
+                       "rows": [dict(zip(header, r)) for r in zip(*full)]},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+    out = tmp_path / "out.json"
+    _emit("test", header, list(columns.values()), "json", str(out))
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_decompose_names_a_bad_byte_by_its_place_in_the_file(tmp_path,
+                                                             capsys):
+    """The edge CSV is read row by row, yet an undecodable byte is named by
+    its position in the whole file, and before a bad header: the errors of
+    a read of the whole file before the parse."""
+    w = ball(make_family("z2"), (0, 0), 20)
+    text = edge_function_to_csv(differential(VertexFunction(
+        w, np.arange(w.n_vertices, dtype=float))))
+    wpath, epath = tmp_path / "window.json", tmp_path / "edges.csv"
+    wpath.write_text(window_to_json(w))
+    for raw in (text.encode(), b"tail,head,val" + text[15:].encode()):
+        raw = raw[:20000] + b"\xff" + raw[20001:]
+        epath.write_bytes(raw)
+        code, out, err = run_cli(capsys, "decompose", "--window", str(wpath),
+                                 "--edges", str(epath))
+        with pytest.raises(UnicodeDecodeError) as info:
+            raw.decode("utf-8")
+        assert "position 20000" in str(info.value)
+        assert (code, out) == (2, "")
+        assert err == f"hodgedim: configuration error: {info.value}\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "scores.csv"
     code, out, _ = run_cli(capsys, "scores", "--family", "z1", "--radii", "1",

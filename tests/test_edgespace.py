@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -194,12 +195,44 @@ def test_transfer_restricts_and_extends():
     assert back.values == approx(u_small.values)
 
 
-def test_csv_roundtrip(small_z2_window, rng):
+def _line_sources(text, tmp_path):
+    """`text` as each kind of input `edge_function_from_csv` takes: one
+    str, a file open in text mode, and a one-shot generator of lines."""
+    path = tmp_path / "edges.csv"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        yield "file", fh
+    yield "str", text
+    yield "generator", (line for line in text.splitlines(keepends=True))
+
+
+def test_csv_roundtrip(small_z2_window, rng, tmp_path):
     w = small_z2_window
     u = EdgeFunction(w, rng.normal(size=w.n_edges))
     text = edge_function_to_csv(u)
-    u2 = edge_function_from_csv(w, text)
-    assert u2.values == approx(u.values, abs=0)  # repr roundtrip is exact
+    for kind, lines in _line_sources(text, tmp_path):
+        got = edge_function_from_csv(w, lines).values
+        assert got.tobytes() == u.values.tobytes(), kind  # repr is exact
+
+
+class _Unreadable(io.TextIOWrapper):
+    """A text file that fails when asked for all of itself at once."""
+
+    def read(self, size=-1):
+        raise AssertionError("the CSV was read whole")
+
+
+def test_csv_file_is_never_read_whole(tmp_path, rng):
+    w = ball(make_family("z2"), (0, 0), 20)  # a CSV of many 8 KiB reads
+    u = EdgeFunction(w, rng.normal(size=w.n_edges))
+    path = tmp_path / "edges.csv"
+    path.write_text(edge_function_to_csv(u), encoding="utf-8")
+    with _Unreadable(open(path, "rb"), encoding="utf-8") as fh:
+        with pytest.raises(AssertionError, match="read whole"):
+            fh.read()
+        fh.seek(0)
+        got = edge_function_from_csv(w, fh).values
+    assert got.tobytes() == u.values.tobytes()
 
 
 def test_csv_rejects_duplicates(small_z2_window):
@@ -210,11 +243,11 @@ def test_csv_rejects_duplicates(small_z2_window):
 
 @pytest.mark.parametrize("label, text, error, message", BAD_EDGE_CSVS,
                          ids=[case[0] for case in BAD_EDGE_CSVS])
-def test_csv_errors(small_z2_window, label, text, error, message):
-    with pytest.raises(error) as info:
-        edge_function_from_csv(small_z2_window, text)
-    assert type(info.value) is error
-    assert str(info.value) == message
+def test_csv_errors(small_z2_window, tmp_path, label, text, error, message):
+    for kind, lines in _line_sources(text, tmp_path):
+        with pytest.raises(error) as info:
+            edge_function_from_csv(small_z2_window, lines)
+        assert (type(info.value), str(info.value)) == (error, message), kind
 
 
 def test_csv_reversed_omitted_and_spaced_rows(small_z2_window):

@@ -21,6 +21,7 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, FiniteWindow, InvalidWindowError,
                       window_from_json, window_to_json)
 from hodgedim import windows
 from hodgedim.families import IdGraph
+from hodgedim.quasi import lex_min_path
 
 
 def test_z1_ball_counts(z1):
@@ -865,6 +866,42 @@ def test_shared_tree_graph_numbers_no_bad_word():
         with pytest.raises(InvalidWindowError, match="not a vertex of tree3"):
             search()
     assert fam.graph.vertices == []
+
+
+def _ball_value(f, s):
+    w = ball(f, [s], 1)
+    return w.labels, w.edge_tails.tolist(), w.edge_heads.tolist()
+
+
+# each search or window as a value that shows its vertices' types, from a
+# source (and a target) written with ints or, equal to them, with a bool
+_BY_SOURCE = {
+    "bfs": lambda f, s: repr(list(windows.bfs(f, [s], 2).items())),
+    "ball": _ball_value,
+    "distance_rows": lambda f, s: windows.distance_rows(
+        f, [s, (0,) * len(s)], [s, (3,) + s[1:]], 4).tolist(),
+    "lex_min_path": lambda f, s: repr(lex_min_path(f, s, (4,) + s[1:], 5)),
+}
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "ladder", "comb",
+                                  "diag_lattice"])
+def test_bool_vertices_stay_out_of_the_shared_graph(name):
+    """(True, 0) == (1, 0), so a search or window about the one must not
+    number it in the graph that later searches and windows share: each gets
+    what it gets on a family object of its own, whichever ran before."""
+    pad = (0,) * (len(make_family(name).origin) - 1)
+    # keyed by spelling: as dict keys, the two sources are one
+    sources = {"int": (1,) + pad, "bool": (True,) + pad}
+    fresh = {(op, kind): run(make_family(name), s)
+             for op, run in _BY_SOURCE.items() for kind, s in sources.items()}
+    assert fresh["ball", "bool"] != fresh["ball", "int"]
+    for first in _BY_SOURCE:
+        for second in _BY_SOURCE:
+            for a, b in (("bool", "int"), ("int", "bool")):
+                fam = make_family(name)
+                assert _BY_SOURCE[first](fam, sources[a]) == fresh[first, a]
+                assert _BY_SOURCE[second](fam, sources[b]) == fresh[second, b]
 
 
 def test_distance(z2, tree3):
