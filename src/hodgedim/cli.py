@@ -247,9 +247,8 @@ def _cmd_decompose(ns):
         try:
             u = edge_function_from_csv(window, fh)
         except (csv.Error, HodgedimError, ValueError):
-            # a failed parse reads the file whole, as the parse once did
-            # first: a bad byte is then named by its position in the file,
-            # and before any other error
+            # an undecodable byte is reported by its position in the whole
+            # file, and before any parse error: read the file whole once
             fh.seek(0)
             fh.read()
             raise
