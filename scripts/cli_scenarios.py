@@ -77,6 +77,12 @@ def scenarios(tmp: Path):
                                     "--radii", "25"]
     yield "folner z2 radii 10000000", ["folner", "--family", "z2",
                                        "--radii", "10000000"]
+    # and on the other closed-form counts: z1 just past the cap, z3, and the
+    # triangular lattice at a radius whose count needs more than int32
+    for fam, r in (("z1", 1000000), ("z3", 10000000),
+                   ("diag_lattice", 3000000000)):
+        yield f"folner {fam} radii {r}", ["folner", "--family", fam,
+                                          "--radii", str(r)]
     for fam in QI_FAMILIES:
         yield f"qicheck {fam}", ["qicheck", "--family", fam,
                                  "--window-radii", "1..4"]
