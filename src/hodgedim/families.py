@@ -18,19 +18,31 @@ Families:
 graph so the generic machinery can run on finite graphs with no exterior.
 
 Each family object numbers the vertices its searches and windows meet in
-one `IdGraph` (`GraphFamily.graph`), which caches their neighbour lists
-for as long as the object lives.
+one `IdGraph`, which caches their neighbour lists for as long as the
+object lives, and reads its metric once, as one `Geometry`.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from operator import sub
 from typing import Callable, Iterable, Tuple
+
+import numpy as np
 
 from .errors import InvalidFamilyError
 
 VertexId = Tuple[int, ...]
+
+
+# A family's metric as its searches and windows read it, None where not
+# given: the steps x - origin to the origin's neighbours, r -> |ball(r)|
+# about any vertex (for the vertex cap only: a tree's count stops growing
+# at r = 64, past 2**64), and d(s, t) on `windows._metric`'s int64 rows.
+Geometry = namedtuple("Geometry", "steps ball_size distance")
 
 
 @dataclass(frozen=True)
@@ -44,9 +56,7 @@ class GraphFamily:
     translation_axes = k declares neighbors(x + v) == neighbors(x) + v for
     every integer v supported on the first k coordinates (0: none). Such a
     shift keeps the vertex order, so translated windows have equal arrays.
-    With k == len(origin), the steps at the origin fix the whole graph:
-    `windows.distance_rows` reads the metric of z^k and of the triangular
-    lattice off them, and `quasi` finds one path or displacement per step.
+    With k == len(origin), the steps at the origin fix the whole graph.
 
     tree_degree = d declares that `neighbors` is the d-regular tree rule of
     `make_family("tree", d)` (0: it is not). Window building then skips
@@ -54,10 +64,13 @@ class GraphFamily:
     `windows._tree_window`).
     Both fields are plain data, which `dataclasses.replace` carries over.
 
-    `graph` is the object's `IdGraph`, built on first use, which every
-    search and window on the object about tuples of ints shares (see
-    `windows._graph`). No field: `dataclasses.replace`
-    gives a new object with a graph of its own, on its own `neighbors`.
+    `graph` (the `IdGraph` that the object's searches and windows about
+    tuples of ints share, see `windows._graph`) and `geometry` are built on
+    first use, not fields. The geometry comes from `tree_degree` and the
+    steps that `neighbors` gives at the origin, not from the rule object or
+    the name: a wrapped `neighbors` (a call counter, say) keeps the kernels
+    and the closed forms. The frozen object refuses to assign either, and
+    `dataclasses.replace` gives a new object that builds both anew.
     """
 
     name: str
@@ -67,12 +80,32 @@ class GraphFamily:
     translation_axes: int = 0
     tree_degree: int = 0
 
-    def degree(self, x: VertexId) -> int:
-        return len(self.neighbors(x))
-
     @cached_property
     def graph(self) -> "IdGraph":
         return IdGraph(self)
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        d, k = self.tree_degree, len(self.origin)
+        if d:
+            return Geometry(None, lambda r: _tree_ball_bound(d, min(r, 64)),
+                            _tree_distance)
+        if not 0 < self.translation_axes == k:
+            return Geometry(None, None, None)
+        graph = self.graph
+        o, = graph.ids([self.origin])
+        steps = tuple(tuple(map(sub, graph.vertices[i], self.origin))
+                      for i in graph.adjacent[o] or graph.fetch(o))
+        units = {tuple(s * (i == j) for j in range(k))
+                 for i in range(k) for s in (1, -1)}
+        if set(steps) == units | {(1, 1), (-1, -1)}:  # the triangular lattice
+            return Geometry(steps, lambda r: 3 * r * (r + 1) + 1,
+                            partial(_lattice_distance, True))
+        if set(steps) == units:  # z^k
+            return Geometry(steps, lambda r: sum(
+                2 ** j * math.comb(k, j) * math.comb(r, j)
+                for j in range(k + 1)), partial(_lattice_distance, False))
+        return Geometry(steps, None, None)
 
 
 class IdGraph:
@@ -115,6 +148,32 @@ class IdGraph:
         nb = tuple(self.ids(self.neighbors(self.vertices[i])))
         self.adjacent[i] = nb
         return nb
+
+
+def _lattice_distance(diagonal: bool, s: np.ndarray, t: np.ndarray):
+    size = np.abs(t - s)
+    # a step along +-(1, 1) moves both coordinates when they move the same way
+    same = diagonal and (t[..., 0] >= s[..., 0]) == (t[..., 1] >= s[..., 1])
+    return size.sum(-1) - same * size.min(-1)
+
+
+def _tree_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # |x| + |y| - 2 |common prefix|; the pads, -1 and -2, never match
+    common = np.logical_and.accumulate(s == t, axis=-1).sum(-1)
+    return (s >= 0).sum(-1) + (t >= 0).sum(-1) - 2 * common
+
+
+def _tree_ball_bound(degree_bound: int, r: int) -> int:
+    """Vertex count of a radius-r ball in the degree-D tree: an upper bound
+    for any graph with degree bound D."""
+    if r <= 0:
+        return 1
+    if degree_bound <= 1:
+        return 2
+    if degree_bound == 2:
+        return 2 * r + 1
+    q = degree_bound - 1
+    return 1 + degree_bound * (q ** r - 1) // (q - 1)
 
 
 def _lattice_neighbors(d: int):

@@ -38,10 +38,10 @@ from .edgespace import (EdgeFunction, VertexFunction, chi, differential,
                         inner, support_vertices, transfer_edge_function)
 from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
-from .families import GraphFamily, VertexId, make_family
+from .families import GraphFamily, VertexId, _tree_ball_bound, make_family
 from .solver import LaplacianMode, project_star
-from .windows import (FiniteWindow, _tree_ball_bound, ball, bfs,
-                      distance_rows, id_bfs, neighborhood)
+from .windows import (FiniteWindow, ball, bfs, distance_rows, id_bfs,
+                      neighborhood)
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def _density_gap(f: QuasiMap, window: FiniteWindow, cutoff: int) -> int:
     verts = window.vertices
     image = {f(x) for x in verts}
     probe = set()
-    orbit = 0 < f.target.translation_axes == len(f.target.origin)
+    orbit = f.target.geometry.steps is not None
     paths = {}  # step fb - fa -> the path less fa
     for a, b in zip(window.edge_tails.tolist(), window.edge_heads.tolist()):
         fa, fb = f(verts[a]), f(verts[b])
@@ -207,7 +207,7 @@ def wobbling_displacement(f: QuasiMap, window: FiniteWindow,
     if not f.is_endomap:
         raise IncompatibleDomainError(
             "displacement needs source and target to coincide")
-    orbit = 0 < f.source.translation_axes == len(f.source.origin)
+    orbit = f.source.geometry.steps is not None
     first = {}  # f x - x, or (x, f x) where no shift applies -> (x, f x)
     for x, fx in zip(window.vertices, map(f, window.vertices)):
         if fx != x:
@@ -410,10 +410,8 @@ def nearest_preimage(f: QuasiMap, source_window: FiniteWindow,
 
 # -- built-in map suite -------------------------------------------------------
 
-def _shift_map(family: GraphFamily) -> Callable[[VertexId], VertexId]:
-    def shift(x: VertexId) -> VertexId:
-        return (x[0] + 1,) + x[1:]
-    return shift
+def _shift(x: VertexId) -> VertexId:
+    return (x[0] + 1,) + x[1:]
 
 
 def _coarsen(x: VertexId) -> VertexId:
@@ -424,8 +422,7 @@ def builtin_maps(family: GraphFamily) -> Tuple[QuasiMap, ...]:
     """The stock comparison maps applicable to a family."""
     maps = [QuasiMap("identity", family, family, lambda x: x, 1.0)]
     if not family.name.startswith("tree"):
-        maps.append(QuasiMap("translation", family, family,
-                             _shift_map(family), 1.0))
+        maps.append(QuasiMap("translation", family, family, _shift, 1.0))
     if family.name.startswith("z") and family.name[1:].isdigit():
         # a cell of the halving map has L1 diameter d, collapsed to a point
         k_coarse = max(2.0, float(family.name[1:]))

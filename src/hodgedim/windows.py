@@ -14,8 +14,8 @@ This module also holds the package's graph search: one BFS on the integer
 vertex ids of `family.graph`, behind `bfs`, `distance_rows` and the window
 builder behind `ball` and `induced_window`. Trees and most translation
 families build windows with array kernels on int64 keys instead, on one
-layer loop; tree windows build vertex tuples only when asked. Trees, z^k
-and the triangular lattice read `distance_rows` off a closed-form metric.
+layer loop; tree windows build vertex tuples only when asked. Kernel
+steps, ball counts and closed-form metrics come from `family.geometry`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import json
 import math
 from bisect import bisect_left
 from itertools import chain
-from operator import sub
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -75,15 +74,17 @@ class FiniteWindow:
             self._words, self._vertices = None, tuple(vertices)
             n = len(self._vertices)
         self._n_vertices = n
-        self.edge_tails = np.asarray(edge_tails, dtype=np.int64)
-        self.edge_heads = np.asarray(edge_heads, dtype=np.int64)
-        self.full_degree = np.asarray(full_degree, dtype=np.int64)
+        given = [np.asarray(a) for a in (edge_tails, edge_heads, full_degree)]
+        self.edge_tails, self.edge_heads, self.full_degree = (
+            a.astype(np.int64, copy=False) for a in given)
         if n == 0:
             raise InvalidWindowError("window has no vertices")
         if self.edge_tails.size == 0:
             raise InvalidWindowError("window has no edges")
         if self.full_degree.shape != (n,):
             raise InvalidWindowError("full_degree has wrong length")
+        if check:  # before the degree count, which indexes by the edges
+            self._validate({a.dtype.kind for a in given})
         deg = np.zeros(n, dtype=np.int64)
         np.add.at(deg, self.edge_tails, 1)
         np.add.at(deg, self.edge_heads, 1)
@@ -92,8 +93,10 @@ class FiniteWindow:
         self._index = None
         self._labels = None
         self._edge_key = None
-        if check:
-            self._validate()
+        if check and np.any(deg > self.full_degree):
+            raise InvalidWindowError("internal degree exceeds ambient degree")
+        if check and not self._connected():
+            raise InvalidWindowError("window is not connected")
 
     # -- basic views -------------------------------------------------------
 
@@ -181,7 +184,7 @@ class FiniteWindow:
 
     # -- consistency -------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, kinds: set):
         n = self.n_vertices
         if self._words is not None:
             # key order is word order, so sorted distinct keys suffice
@@ -199,10 +202,9 @@ class FiniteWindow:
         key = t * n + h
         if np.any(np.diff(key) <= 0):
             raise InvalidWindowError("edge list must be sorted and duplicate free")
-        if np.any(self.internal_degree > self.full_degree):
-            raise InvalidWindowError("internal degree exceeds ambient degree")
-        if not self._connected():
-            raise InvalidWindowError("window is not connected")
+        # the int64 arrays truncate floats and read bools as ints
+        if not kinds <= {"i", "u"}:
+            raise InvalidWindowError("edge indices and degrees must be integers")
 
     def _connected(self) -> bool:
         # Each round hooks every root onto the smallest root across its
@@ -355,17 +357,17 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
     `bfs(family, [sources[i]], depth, targets)` gives for it, and -1 where
     that search does not reach it.
 
-    Trees, z^k and the triangular lattice read it off their metric
-    (`_metric`). Row i's search stops at layer L_i = min(depth, max_j
-    d(s_i, t_j)), 0 with no targets, and raises SizeLimitError iff
-    |ball(L_i)| passes the cap; there |ball(L)| grows with L alone, so the
-    matrix raises iff |ball(max_i L_i)| does. Other families, and
-    coordinates that could wrap int64, search per row on `_graph`.
+    Trees, z^k and the triangular lattice read it off `family.geometry`'s
+    distance, on `_metric`'s rows. Row i's search stops at layer L_i =
+    min(depth, max_j d(s_i, t_j)), 0 with no targets, and raises
+    SizeLimitError iff |ball(L_i)| passes the cap; there |ball(L)| grows
+    with L alone, so the matrix raises iff |ball(max_i L_i)| does. Other
+    families, and vertices `_metric` leaves, search per row on `_graph`.
     """
     sources, targets = _open_search(family, sources, depth, targets)
-    size = _ball_size(family)
-    metric = size and _metric(family, sources, targets)
-    if not metric:
+    geometry = family.geometry
+    rows = geometry.distance and _metric(family, sources, targets)
+    if not rows:
         graph = _graph(family, sources + targets)
         tgt = graph.ids(targets)
         out = np.full((len(sources), len(tgt)), -1, dtype=np.int64)
@@ -373,117 +375,54 @@ def distance_rows(family: GraphFamily, sources: Iterable[VertexId],
             dist = _search(graph, [s], depth, tgt)
             row[:] = [dist.get(t, -1) for t in tgt]
         return out
-    src, tgt, pair_distance = metric
+    src, tgt = rows
     out = np.empty((len(src), len(tgt)), dtype=np.int64)
     # rows in chunks of about 2**18 cells, which bounds the temporaries
     step = max(1, 2 ** 18 // max(1, tgt.size))
     for i in range(0, len(src), step):
-        out[i:i + step] = pair_distance(src[i:i + step, None], tgt)
+        out[i:i + step] = geometry.distance(src[i:i + step, None], tgt)
     if len(src):
-        _check_size(size(min(depth, int(out.max(initial=0)))))
+        _check_size(geometry.ball_size(min(depth, int(out.max(initial=0)))))
     out[out > depth] = -1
     return out
 
 
 def _metric(family: GraphFamily, sources: list, targets: list):
-    """Sources and targets as int64 rows and d(s, t) on them, on a family
-    that `_ball_size` counts. None unless the vertices are int tuples (no
-    bools) of the origin's length whose ranges sum to under 2**63."""
-    d, k = family.tree_degree, len(family.origin)
-    if d:  # words as rows of letters, padded with -1 and -2
+    """Sources and targets as int64 rows for `family.geometry.distance`:
+    words as rows of letters padded with -1 and -2, else coordinates, None
+    unless the vertices are `_lattice_points` whose ranges sum to < 2**63."""
+    if family.tree_degree:
         width = max(map(len, sources + targets), default=0)
-        src, tgt = (np.array([w + (pad,) * (width - len(w)) for w in ws],
-                             np.int64).reshape(len(ws), width)
-                    for ws, pad in ((sources, -1), (targets, -2)))
-        return src, tgt, _tree_distance
-    if not _int_lists(sources + targets, tuple):
+        return tuple(np.array([w + (pad,) * (width - len(w)) for w in ws],
+                              np.int64).reshape(len(ws), width)
+                     for ws, pad in ((sources, -1), (targets, -2)))
+    points = sources + targets
+    if not _lattice_points(family, points):
         return None
     try:
-        pts = np.array(sources + targets, dtype=np.int64)
-    except (OverflowError, ValueError):  # past int64, or of mixed lengths
+        pts = np.array(points, dtype=np.int64)
+    except OverflowError:  # past int64
         return None
-    if pts.shape[1:] != (k,) or (sum(pts.max(0).tolist())
-                                 - sum(pts.min(0).tolist()) >= 2 ** 63):
+    if sum(pts.max(0).tolist()) - sum(pts.min(0).tolist()) >= 2 ** 63:
         return None
-    diagonal = (1, 1) in _origin_steps(family)
-    return (pts[:len(sources)], pts[len(sources):],
-            lambda s, t: _lattice_distance(diagonal, s, t))
-
-
-def _origin_steps(family: GraphFamily) -> list:
-    """x - origin for each neighbour x of the origin, from `family.graph`."""
-    graph = family.graph
-    o, = graph.ids([family.origin])
-    return [tuple(map(sub, graph.vertices[i], family.origin))
-            for i in graph.adjacent[o] or graph.fetch(o)]
-
-
-def _ball_size(family: GraphFamily):
-    """r -> |ball(r)| about one vertex, from the family alone, for a tree
-    or a family translated on every coordinate whose steps at the origin
-    are +-e_i (z^k) or those and +-(1, 1) (the triangular lattice); None
-    for others. For comparing with the cap only: a tree's radius is clamped
-    at the cap's bit length, past which its count passes the cap."""
-    d, k = family.tree_degree, len(family.origin)
-    if d:
-        return lambda r: _tree_ball_bound(
-            d, min(r, DEFAULT_SIZE_CAP.bit_length()))
-    if not 0 < family.translation_axes == k:
-        return None
-    steps = set(_origin_steps(family))
-    units = {tuple(s * (i == j) for j in range(k))
-             for i in range(k) for s in (1, -1)}
-    if steps == units | {(1, 1), (-1, -1)}:
-        return lambda r: 3 * r * (r + 1) + 1
-    if steps == units:
-        return lambda r: sum(2 ** j * math.comb(k, j) * math.comb(r, j)
-                             for j in range(k + 1))
-    return None
-
-
-def _lattice_distance(diagonal: bool, s: np.ndarray, t: np.ndarray):
-    size = np.abs(t - s)
-    # a step along +-(1, 1) moves both coordinates when they move the same way
-    same = diagonal and (t[..., 0] >= s[..., 0]) == (t[..., 1] >= s[..., 1])
-    return size.sum(-1) - same * size.min(-1)
-
-
-def _tree_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # |x| + |y| - 2 |common prefix|; the pads, -1 and -2, never match
-    common = np.logical_and.accumulate(s == t, axis=-1).sum(-1)
-    return (s >= 0).sum(-1) + (t >= 0).sum(-1) - 2 * common
-
-
-def _tree_ball_bound(degree_bound: int, r: int) -> int:
-    """Vertex count of a radius-r ball in the degree-D tree: an upper bound
-    for any graph with degree bound D."""
-    if r <= 0:
-        return 1
-    if degree_bound <= 1:
-        return 2
-    if degree_bound == 2:
-        return 2 * r + 1
-    q = degree_bound - 1
-    return 1 + degree_bound * (q ** r - 1) // (q - 1)
+    return pts[:len(sources)], pts[len(sources):]
 
 
 def _grow_window(family: GraphFamily, sources: list, radius: int,
                  check: bool) -> FiniteWindow:
     """Window on all vertices within `radius` of the sources.
 
-    A ball about vertices of a family that `_ball_size` counts raises
-    before anything is built once that count passes the cap: a ball about
-    sources holds the ball about each one. Array kernels build trees'
-    windows (`_tree_window`) and most translation families'
+    A ball about words or `_lattice_points` that `family.geometry` counts
+    raises before anything is built once that count passes the cap: a
+    ball about sources holds the ball about each one. Array kernels build
+    trees' windows (`_tree_window`) and most translation families'
     (`_lattice_window`). Others run `_search` on `_graph` and fetch the
     outer layer's lists there too, each once per family object; numpy
     ranks the ids in vertex order and writes each edge once.
     """
     sources, _ = _open_search(family, sources, radius, None)
-    d, k = family.tree_degree, len(family.origin)
-    size = _ball_size(family)
-    if size and sources and (d or _int_lists(sources, tuple)
-                             and set(map(len, sources)) == {k}):
+    d, size = family.tree_degree, family.geometry.ball_size
+    if size and sources and (d or _lattice_points(family, sources)):
         _check_size(size(radius))
     w = (_tree_window(d, sources, radius, check) if d else
          _lattice_window(family, sources, radius, check))
@@ -533,20 +472,18 @@ def _layers(layer: tuple, radius: int, step) -> list:
 
 def _lattice_window(family: GraphFamily, sources: list, radius: int,
                     check: bool) -> Optional[FiniteWindow]:
-    """`_grow_window` on a family with translations on every coordinate, in
-    integer arrays. A key's mixed-radix digits are a vertex's coordinates
-    less the low corner of the sources' bounding box widened by radius + 1
-    longest steps: key order is tuple order, and key + an offset's key never
-    wraps into the next row. None, for the id search, on a path (degree 2:
-    its two-vertex layers cost more than the search per vertex), and unless
-    the sources are tuples of the origin's length of ints (not bools), in a
-    box inside int64 of fewer than 2**62 keys."""
-    k = len(family.origin)
-    if not (0 < family.translation_axes == k and family.degree_bound > 2
-            and sources and _int_lists(sources, tuple)
-            and set(map(len, sources)) == {k}):
+    """`_grow_window` along `family.geometry`'s steps, in integer arrays. A
+    key's mixed-radix digits are a vertex's coordinates less the low corner
+    of the sources' bounding box widened by radius + 1 longest steps: key
+    order is tuple order, and key + a step's key never wraps into the next
+    row. None, for the id search, without steps, on a path (two steps: its
+    two-vertex layers cost more than the search per vertex), and unless the
+    sources are `_lattice_points` in a box inside int64 of fewer than 2**62
+    keys."""
+    offsets, k = family.geometry.steps, len(family.origin)
+    if not (offsets and len(offsets) > 2 and _lattice_points(family, sources)):
         return None
-    offsets = np.array(_origin_steps(family))
+    offsets = np.array(offsets)
     margin = (radius + 1) * int(abs(offsets).max())
     lo = [min(c) - margin for c in zip(*sources)]
     hi = [max(c) + margin for c in zip(*sources)]
@@ -818,6 +755,11 @@ def _int_lists(value, kind=list) -> bool:
     `type(c) is int` rejects bools, which numpy takes as ints."""
     return (type(value) is list and set(map(type, value)) <= {kind}
             and set(map(type, chain.from_iterable(value))) <= {int})
+
+
+def _lattice_points(family: GraphFamily, xs: list) -> bool:
+    """Whether xs is a nonempty list of int tuples of the origin's length."""
+    return _int_lists(xs, tuple) and set(map(len, xs)) == {len(family.origin)}
 
 
 def window_from_json(text: str) -> FiniteWindow:

@@ -19,7 +19,7 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, FiniteWindow, InvalidWindowError,
                       make_family, neighborhood, origin_edge, project_star,
                       same_window, sigma, transfer_edge_function,
                       window_from_json, window_to_json)
-from hodgedim import windows
+from hodgedim import families, windows
 from hodgedim.families import IdGraph
 from hodgedim.quasi import lex_min_path
 
@@ -54,6 +54,26 @@ def test_edgeless_window_rejected(z2):
     # a single vertex has an empty edge space; windows refuse to degenerate
     with pytest.raises(InvalidWindowError):
         ball(z2, (0, 0), 0)
+
+
+@pytest.mark.parametrize("tails, heads, degrees, message", [
+    ([0], [5], [1, 1], "edges must be canonical index pairs i < j"),
+    ([0], [2], [1, 1], "edges must be canonical index pairs i < j"),
+    ([-1], [1], [1, 1], "edges must be canonical index pairs i < j"),
+    ([True], [1], [1, 1], "edges must be canonical index pairs i < j"),
+    ([0.5], [1], [1, 1], "edge indices and degrees must be integers"),
+    ([0], [1.5], [1, 1], "edge indices and degrees must be integers"),
+    ([0], [1], [1.5, 1], "edge indices and degrees must be integers"),
+    ([False], [True], [1, 1], "edge indices and degrees must be integers"),
+    ([], [], [1, 1], "window has no edges"),
+], ids=["head past n", "head at n", "negative tail", "bool tail",
+        "float tail", "float head", "float degree", "bool edge", "no edges"])
+def test_window_checks_its_arrays_before_counting_degrees(tails, heads,
+                                                          degrees, message):
+    # the degree count indexes by the edges, and the int64 arrays would
+    # truncate floats: both checks run first
+    with pytest.raises(InvalidWindowError, match=re.escape(message)):
+        FiniteWindow([(0,), (1,)], tails, heads, degrees)
 
 
 def _arrays_or_error(build, *args):
@@ -97,6 +117,17 @@ def _tuple_walk(fam):
     """The family without its tree and translation declarations: windows
     take the id search, not an array kernel."""
     return dataclasses.replace(fam, tree_degree=0, translation_axes=0)
+
+
+def _family(name):
+    """A built-in family by name. "traced <name>" wraps its rule in a call
+    counter, as a tracer does, and "z2 on one axis" declares z2 translated
+    on its first coordinate only, which is true but not all of the truth."""
+    if name.startswith("traced "):
+        return _counted(make_family(name[len("traced "):]))[0]
+    if name == "z2 on one axis":
+        return dataclasses.replace(make_family("z2"), translation_axes=1)
+    return make_family(name)
 
 
 @pytest.mark.parametrize("name, r", [("z2", 6), ("tree3", 8), ("comb", 5)])
@@ -150,6 +181,62 @@ def test_translation_windows_call_neighbors_once(name):
             assert calls == ([] if fetched else [fam.origin])
         fetched.update(calls)
     assert len(fetched) == (18 if name == "z1" else 1)
+
+
+@pytest.mark.parametrize("name", ["z2", "diag_lattice", "tree3", "comb"])
+def test_geometry_is_derived_once_per_object(monkeypatch, name):
+    made = []
+    geometry = families.Geometry
+    monkeypatch.setattr(families, "Geometry",
+                        lambda *fields: made.append(1) or geometry(*fields))
+    fam = make_family(name)
+    verts = neighborhood(fam, [fam.origin], 2)
+    for r in range(1, 6):
+        ball(fam, fam.origin, r)
+        edge_ball(fam, origin_edge(fam), r)
+        windows.distance_rows(fam, verts, verts[::-1], r)
+    assert len(made) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.geometry = None
+    # a copy derives its own, through its own graph
+    copy = dataclasses.replace(fam)
+    assert copy.geometry.steps == fam.geometry.steps
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "diag_lattice", "tree3",
+                                  "tree4"])
+def test_traced_rules_fail_oversized_balls_before_building(name):
+    # the closed-form count survives the wrapped rule: the ball fails on it
+    # after at most the origin's list, not after two million vertices
+    fam, calls = _counted(make_family(name))
+    with pytest.raises(SizeLimitError):
+        ball(fam, fam.origin, 10 ** 7)
+    assert calls == ([] if fam.tree_degree else [fam.origin])
+
+
+@pytest.mark.parametrize("name", ["comb", "z2 on one axis"])
+def test_undeclared_geometries_search(monkeypatch, name):
+    # the comb's steps at the origin are z2's, and z2 declared on one axis
+    # is a valid family: neither says that its steps fix the graph, so
+    # neither gets the closed forms or the lattice kernel
+    fam = _family(name)
+    assert fam.geometry == (None, None, None)
+    searches = []
+    search = windows._search
+    monkeypatch.setattr(windows, "_search",
+                        lambda *args: searches.append(1) or search(*args))
+    verts = neighborhood(fam, [fam.origin], 2)
+    searches.clear()
+    rows = windows.distance_rows(fam, verts, verts, 4)
+    assert len(searches) == len(verts)
+    assert (rows == _per_row_distance_rows(fam, verts, verts, 4)).all()
+    for r in range(1, 6):
+        assert windows._lattice_window(fam, [fam.origin], r, False) is None
+        got = _outcome(ball, fam, fam.origin, r)
+        assert got == _outcome(_tuple_window, fam, [fam.origin], r)
+        if name == "z2 on one axis":  # the same balls as z2's kernel
+            assert got == _outcome(ball, make_family("z2"), fam.origin, r)
 
 
 @pytest.mark.parametrize("name, radius, size", [
@@ -536,9 +623,10 @@ def _rows_outcome(rows_of, *args):
     return rows.dtype, rows.shape, rows.tolist()
 
 
-@pytest.mark.parametrize("name", ["z1", "z2", "z3", "diag_lattice"])
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "diag_lattice",
+                                  "traced z1", "traced diag_lattice"])
 def test_orbit_rows_are_the_per_row_searches(monkeypatch, name):
-    fam = make_family(name)
+    fam = _family(name)
     searches = []
     search = windows._search
     monkeypatch.setattr(windows, "_search",
@@ -615,9 +703,10 @@ def _word_cases(d, seed):
     return cases
 
 
-@pytest.mark.parametrize("name", ["z3", "tree3", "tree4"])
+@pytest.mark.parametrize("name", ["z3", "tree3", "tree4", "traced z3",
+                                  "traced tree3", "traced tree4"])
 def test_metric_rows_are_the_per_row_searches(monkeypatch, name):
-    fam = make_family(name)
+    fam = _family(name)
     cases = (_word_cases(fam.tree_degree, 12) if fam.tree_degree
              else _guard_cases())
     searches = []
@@ -720,12 +809,13 @@ def _window_sources(fam):
         yield [(1,) + (0, 1) * 15 + (1,)]  # 32 letters
 
 
-@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES + ("window",))
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES
+                         + ("window", "z2 on one axis"))
 def test_window_is_the_tuple_walk(monkeypatch, name):
     if name == "window":  # finite: its balls stop growing at radius 3
         fam = family_from_window(ball(make_family("comb"), (0, 0), 3))
     else:
-        fam = make_family(name)
+        fam = _family(name)
     cases = list(_window_sources(fam))
     monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 40)
     outcomes = set()
@@ -779,9 +869,10 @@ def _kernel_and_walk(fam, sources, r):
     return got[0] if isinstance(got[0], type) else "window"
 
 
-@pytest.mark.parametrize("name", TRANSLATION_FAMILIES)
+@pytest.mark.parametrize("name", TRANSLATION_FAMILIES + (
+    "traced z2", "traced z3", "traced diag_lattice"))
 def test_lattice_kernel_edge_sources(monkeypatch, name):
-    fam = make_family(name)
+    fam = _family(name)
     monkeypatch.setattr(windows, "DEFAULT_SIZE_CAP", 40)
     outcomes = set()
     for sources, fallback in _lattice_edge_sources(len(fam.origin)):
