@@ -72,6 +72,12 @@ def scenarios(tmp: Path):
                                      "--radii", "1..200"]
     yield "scores z3 radii 1..10", ["scores", "--family", "z3",
                                     "--radii", "1..10"]
+    # large edge balls: a tree ball of 262,142 vertices, and z2 balls of up
+    # to 18,818 vertices on which both modes solve
+    yield "scores tree3 radii 16", ["scores", "--family", "tree3",
+                                    "--radii", "16"]
+    yield "scores z2 radii 64,96", ["scores", "--family", "z2",
+                                    "--radii", "64,96"]
     # balls past the size cap, on a tree and on a lattice
     yield "folner tree3 radii 25", ["folner", "--family", "tree3",
                                     "--radii", "25"]
