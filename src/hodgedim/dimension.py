@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
-from .edgespace import edge_indicator
 from .errors import InvalidWindowError, SolverFailureError
 from .families import GraphFamily, VertexId
-from .solver import LaplacianMode, cycle_rank, project_star
+# project_star is not called here, but perfbench/layertrace.py patches it
+# by this module's name
+from .solver import LaplacianMode, cycle_rank, edge_score, project_star
 from .windows import FiniteWindow, OrientedEdge, ball, family_edge, sigma
 
 
@@ -75,24 +76,22 @@ def _edge_scores(family: GraphFamily, e: OrientedEdge, r: int,
                  need_diamond: bool = True) -> EdgeScores:
     e = family_edge(family, *e).canonical()
     window = edge_ball(family, e, r)
-    u = edge_indicator(window, e)
     star = 0.0
     iters = 0
     residual = 0.0
     if need_star:
-        sp = project_star(window, u, LaplacianMode.EMBEDDED, tol=tol)
-        star = sp.score
-        iters += sp.report.iterations
-        residual = max(residual, sp.report.residual)
+        star, report = edge_score(window, e, LaplacianMode.EMBEDDED, tol)
+        iters += report.iterations
+        residual = max(residual, report.residual)
     diamond = 0.0
     if need_diamond:
         if cycle_rank(window) == 0:
             diamond = 0.0  # empty cycle space, exactly
         else:
-            fp = project_star(window, u, LaplacianMode.FREE, tol=tol)
-            diamond = 1.0 - fp.score
-            iters += fp.report.iterations
-            residual = max(residual, fp.report.residual)
+            free, report = edge_score(window, e, LaplacianMode.FREE, tol)
+            diamond = 1.0 - free
+            iters += report.iterations
+            residual = max(residual, report.residual)
     return EdgeScores(star, diamond, 1.0 - star - diamond, iters, residual)
 
 

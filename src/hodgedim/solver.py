@@ -15,7 +15,8 @@ project_star(u) computes the orthogonal projection of u onto {dv} for the
 given mode by solving the normal equations L v = d* u with a Jacobi
 preconditioned conjugate gradient, matrix-free over the window's edge
 arrays. In FREE mode the right-hand side must have zero mean; the returned
-potential is mean-centered.
+potential is mean-centered. edge_score(e) gives the score of the projection
+of the edge indicator chi_e from one solve and no edge-length vector.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .edgespace import EdgeFunction, VertexFunction, codifferential, differential, inner
 from .errors import IncompatibleRhsError, SolverFailureError
-from .windows import FiniteWindow, adjacency_apply
+from .windows import FiniteWindow, OrientedEdge, adjacency_apply
 
 
 class LaplacianMode(Enum):
@@ -51,9 +52,11 @@ class SolveReport:
 
 
 def _mode_degrees(window: FiniteWindow, mode: LaplacianMode) -> np.ndarray:
-    if mode is LaplacianMode.EMBEDDED:
-        return window.full_degree.astype(np.float64)
-    return window.internal_degree.astype(np.float64)
+    """The mode's degrees as floats; one element where every vertex has the
+    same degree, which broadcasts to the same products bit for bit."""
+    deg = (window.full_degree if mode is LaplacianMode.EMBEDDED
+           else window.internal_degree)
+    return (deg[:1] if deg.min() == deg.max() else deg).astype(np.float64)
 
 
 def laplacian_apply(window: FiniteWindow, v: VertexFunction,
@@ -88,7 +91,7 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
                 f"rhs sums to {drift:.3e}; a singular mode needs zero mean")
         b = b - drift / n
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(float(np.dot(b, b)))  # np.linalg.norm's 1-D formula
     if bnorm == 0.0:
         return VertexFunction(window, np.zeros(n)), SolveReport(0, 0.0, True)
 
@@ -101,13 +104,15 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     z = r * inv_deg
     p = z.copy()
     rz = float(np.dot(r, z))
-    relres = float(np.linalg.norm(r)) / bnorm
+    relres = math.sqrt(float(np.dot(r, r))) / bnorm
     # Work buffers, written in place by every iteration: fresh temporaries of
     # 10^5 floats and more are page-faulted in again on each one. Only the
     # adjacency apply's bincount sums are still allocated (see
     # `adjacency_apply`). The operations and their operands are those of the
-    # textbook loop. `tmp` holds A p, then alpha p, then alpha ap.
-    ap, tmp = np.empty(n), np.empty(n)
+    # textbook loop. `tmp` holds A p, then alpha p, then alpha ap, in the
+    # buffer of `z`, which is dead from the update of `p` until it is
+    # recomputed from the new `r`.
+    ap, tmp = np.empty(n), z
     gathered = np.empty(window.n_edges)
     iterations = 0
     while relres > tol and iterations < max_iterations:
@@ -117,7 +122,7 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, ap, out=tmp)
         iterations += 1
-        relres = float(np.linalg.norm(r)) / bnorm
+        relres = math.sqrt(float(np.dot(r, r))) / bnorm
         if relres <= tol:
             break
         np.multiply(r, inv_deg, out=z)
@@ -155,6 +160,25 @@ def project_star(window: FiniteWindow, u: EdgeFunction, mode: LaplacianMode,
     v, report = solve_laplacian(window, codifferential(u), mode, tol=tol)
     proj = differential(v)
     return StarProjection(proj, v, inner(proj, u), report)
+
+
+def edge_score(window: FiniteWindow, e: OrientedEdge, mode: LaplacianMode,
+               tol: float = 1e-10) -> tuple[float, SolveReport]:
+    """The score and report of `project_star` on `edge_indicator(window, e)`,
+    bit for bit, with no edge-length vector: d* chi_e is sign at the head's
+    index and -sign at the tail's, and <dv, chi_e> is the one step
+    sign (v(head) - v(tail)), or 0.0 where that step is zero."""
+    k, sign = window.edge_lookup(e)
+    i, j = int(window.edge_tails[k]), int(window.edge_heads[k])
+    rhs = np.zeros(window.n_vertices)
+    rhs[j], rhs[i] = sign, -sign
+    v, report = solve_laplacian(window, VertexFunction(window, rhs), mode,
+                                tol=tol)
+    x = v.values
+    if not math.isfinite(float(x.max()) - float(x.min())):
+        differential(v)  # raises where an edge step overflows, as dv does
+    step = sign * float(x[j] - x[i])
+    return (step if step != 0 else 0.0), report
 
 
 @dataclass(frozen=True)

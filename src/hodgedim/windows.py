@@ -75,8 +75,12 @@ class FiniteWindow:
             n = len(self._vertices)
         self._n_vertices = n
         given = [np.asarray(a) for a in (edge_tails, edge_heads, full_degree)]
-        self.edge_tails, self.edge_heads, self.full_degree = (
-            a.astype(np.int64, copy=False) for a in given)
+        try:
+            self.edge_tails, self.edge_heads, self.full_degree = (
+                a.astype(np.int64, copy=False) for a in given)
+        except OverflowError:  # Python ints past int64
+            raise InvalidWindowError(
+                "edge indices and degrees must fit in int64") from None
         if n == 0:
             raise InvalidWindowError("window has no vertices")
         if self.edge_tails.size == 0:
@@ -132,8 +136,9 @@ class FiniteWindow:
 
     @property
     def edge_key(self) -> np.ndarray:
-        """tail * n_vertices + head per canonical edge, ascending: one
-        `searchsorted` on it finds the positions of many index pairs."""
+        """tail * n_vertices + head per canonical edge, ascending, built on
+        first use: one `searchsorted` on it finds the positions of many index
+        pairs. A single pair is found by `edge_lookup` without it."""
         if self._edge_key is None:
             self._edge_key = self.edge_tails * self.n_vertices + self.edge_heads
         return self._edge_key
@@ -162,7 +167,8 @@ class FiniteWindow:
         """Return (edge position, sign) for an oriented edge of the window.
 
         sign is +1 when e is canonically oriented, -1 otherwise. Endpoints
-        are found with `bisect_index`.
+        are found with `bisect_index`, and the edge by bisecting the tails,
+        then the heads of the tail's edges, which are sorted.
         """
         i = self.bisect_index(e.tail)
         j = self.bisect_index(e.head)
@@ -173,9 +179,10 @@ class FiniteWindow:
             i, j, sign = j, i, -1
         elif i == j:
             raise MissingEdgeError(f"degenerate edge {e}")
-        key = i * self.n_vertices + j
-        k = int(np.searchsorted(self.edge_key, key))
-        if k >= self.n_edges or self.edge_key[k] != key:
+        lo = int(np.searchsorted(self.edge_tails, i))
+        hi = int(np.searchsorted(self.edge_tails, i, "right"))
+        k = lo + int(np.searchsorted(self.edge_heads[lo:hi], j))
+        if k == hi or self.edge_heads[k] != j:
             raise MissingEdgeError(f"{e} is not an edge of the window")
         return k, sign
 

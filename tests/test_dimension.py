@@ -11,6 +11,7 @@ The two exactly solvable families:
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,9 @@ import pytest
 from pytest import approx
 
 from hodgedim import (BUILTIN_FAMILY_NAMES, InvalidWindowError,
-                      MissingEdgeError, OrientedEdge,
-                      Subspace, ball, corollary4_table,
+                      LaplacianMode, MissingEdgeError, OrientedEdge,
+                      Subspace, ball, corollary4_table, cycle_rank,
+                      edge_indicator, project_star,
                       diamond_score, dim_window, edge_ball, family_from_window,
                       family_edge, folner_profile, hd_score, induced_window,
                       lemma3_check, make_family, origin_edge, score_report,
@@ -178,6 +180,60 @@ def test_dim_window_orbit_reuse_is_bitwise(name):
         for space in (Subspace.STAR, Subspace.DIAMOND, Subspace.HD):
             expect = math.fsum(getattr(s, space.value) for s in each)
             assert dim_window(fam, w, space, r) == expect / w.n_edges
+
+
+def _project_star_scores(family, e, r, tol):
+    """(star, diamond, iterations, residual) of one edge from project_star
+    on the edge indicator, skipping the FREE solve on a cycle-free ball."""
+    e = family_edge(family, *e).canonical()
+    w = edge_ball(family, e, r)
+    u = edge_indicator(w, e)
+    sp = project_star(w, u, LaplacianMode.EMBEDDED, tol=tol)
+    diamond, iters, residual = 0.0, sp.report.iterations, sp.report.residual
+    if cycle_rank(w):
+        fp = project_star(w, u, LaplacianMode.FREE, tol=tol)
+        diamond = 1.0 - fp.score
+        iters += fp.report.iterations
+        residual = max(residual, fp.report.residual)
+    return sp.score, diamond, iters, residual
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILY_NAMES)
+def test_edge_scores_are_project_star_on_the_indicator(name):
+    """Star, diamond, iterations and residual equal, bit for bit, those of
+    project_star on chi_e; on z1 and the trees the FREE solve is skipped."""
+    fam = make_family(name)
+    e = origin_edge(fam)
+    for edge in (e, e.reversed()):
+        for r, tol in ((1, 1e-10), (4, 1e-3), (6, 1e-10)):
+            s = dimension._edge_scores(fam, edge, r, tol)
+            got = (s.star.hex(), s.diamond.hex(), s.cg_iterations,
+                   s.residual.hex())
+            star, diamond, iters, residual = _project_star_scores(
+                fam, edge, r, tol)
+            assert got == (star.hex(), diamond.hex(), iters,
+                           residual.hex()), (edge, r, tol)
+
+
+def test_edge_score_peak_memory_in_vertex_vectors(tree3):
+    """One tree3 edge score at r=12 (16,382 vertices) peaks, by tracemalloc,
+    below 14 float vectors of the ball's length: the ball's five integer
+    arrays, the right-hand side, the solver's x, r, z, p and Ap, the
+    gathered edge values and one bincount sum. Float copies of the degrees,
+    a loop temporary beside z, the edge key and a one-hot chi_e would add
+    five more."""
+    e = origin_edge(tree3)
+    n = edge_ball(tree3, e, 12).n_vertices
+    dimension._edge_scores(tree3, e, 12)  # fills the family's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dimension._edge_scores(tree3, e, 12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) < 14
 
 
 def _count_edge_scores(monkeypatch):

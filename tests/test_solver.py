@@ -14,7 +14,9 @@ from hodgedim import (EdgeFunction, IncompatibleRhsError, LaplacianMode,
                       cycle_rank, differential, edge_ball, edge_indicator,
                       family_edge, hodge_decompose_finite, induced_window,
                       inner, is_flow, laplacian_apply, make_family,
-                      origin_edge, project_star, solve_laplacian)
+                      OrientedEdge, origin_edge, project_star,
+                      solve_laplacian)
+from hodgedim.solver import edge_score
 from conftest import (cycle_space_dim, dense_star_projection, incidence,
                       random_window)
 
@@ -223,11 +225,16 @@ def _reference_pcg(window, rhs, mode, tol=TOL):
 
 
 def _pcg_cases():
-    for name, r in (("z2", 20), ("tree3", 12), ("comb", 8)):
+    for name, r in (("z2", 20), ("tree3", 12), ("comb", 8), ("z3", 5),
+                    ("ladder", 12), ("diag_lattice", 8)):
         fam = make_family(name)
         e = origin_edge(fam)
         w = edge_ball(fam, e, r)
         yield name, w, codifferential(edge_indicator(w, e)).values
+    # a 4-cycle, whose vertices share one degree in both modes
+    w = induced_window(make_family("z2"), [(0, 0), (0, 1), (1, 0), (1, 1)])
+    yield "z2 square", w, codifferential(
+        edge_indicator(w, OrientedEdge((0, 0), (1, 0)))).values
     rng = np.random.default_rng(7)
     w = random_window(make_family("diag_lattice"), rng, 300)
     yield "random", w, codifferential(
@@ -238,10 +245,79 @@ def _pcg_cases():
 def test_pcg_is_bitwise_the_allocating_loop(mode):
     """The buffered loop makes the same floating-point operations on the
     same operands as the loop it replaced: equal iterates, iteration counts
-    and residuals, bit for bit."""
+    and residuals, bit for bit. The reference keeps a degree per vertex, a
+    temporary of its own beside z and np.linalg.norm; the balls of
+    constant ambient degree and the 4-cycle take the one-element degree."""
     for name, w, rhs in _pcg_cases():
         v, rep = solve_laplacian(w, VertexFunction(w, rhs), mode)
         x, iterations, relres = _reference_pcg(w, rhs, mode)
         assert np.array_equal(v.values, x), name
         assert (rep.iterations, rep.residual) == (iterations, relres), name
         assert v.values.tobytes() == x.tobytes(), name
+
+
+def test_dot_norm_is_numpys_norm_bitwise():
+    """sqrt(r . r), the solver's norm, is np.linalg.norm bit for bit on 1-D
+    real vectors, at sizes on both sides of the 10,000 entries past which a
+    threaded BLAS may split the dot."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 100, 9999, 10_001, 20_000, 131_070):
+        for scale in (1e-150, 1.0, 1e150):
+            r = scale * rng.normal(size=n)
+            assert (math.sqrt(float(np.dot(r, r))).hex()
+                    == float(np.linalg.norm(r)).hex()), (n, scale)
+
+
+def _score_windows():
+    for name, r in (("z2", 4), ("tree3", 4), ("comb", 3), ("z3", 2)):
+        fam = make_family(name)
+        yield name, fam, edge_ball(fam, origin_edge(fam), r)
+    rng = np.random.default_rng(5)
+    fam = make_family("diag_lattice")
+    yield "random", fam, random_window(fam, rng, 60)
+
+
+@pytest.mark.parametrize("mode", list(LaplacianMode))
+def test_edge_score_is_project_star_on_the_indicator(mode):
+    """Score and report equal project_star's on chi_e bit for bit, for every
+    edge of each window in both orientations, at a loose and a tight tol."""
+    for name, fam, w in _score_windows():
+        verts = w.vertices
+        for a, b in zip(w.edge_tails.tolist(), w.edge_heads.tolist()):
+            for e in (OrientedEdge(verts[a], verts[b]),
+                      OrientedEdge(verts[b], verts[a])):
+                for tol in (1e-3, TOL):
+                    sp = project_star(w, edge_indicator(w, e), mode, tol=tol)
+                    score, rep = edge_score(w, e, mode, tol)
+                    assert score.hex() == sp.score.hex(), (name, e, tol)
+                    assert rep == sp.report, (name, e, tol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("values, raises", [
+    ([1e308, -1e308, 0.0, 0.0], True),   # the steps across (0,0)-(1,0) overflow
+    ([1e308, 0.0, 0.0, -1e308], False),  # max - min overflows, no edge step
+], ids=["edge step overflows", "only max - min overflows"])
+def test_edge_score_checks_steps_as_project_star_does(monkeypatch, values,
+                                                      raises):
+    """Where a potential's edge step overflows, edge_score raises as
+    project_star's differential does; where only its spread overflows, both
+    give the same score."""
+    from hodgedim import IncompatibleDomainError, solver
+    w = induced_window(make_family("z2"), [(0, 0), (0, 1), (1, 0), (1, 1)])
+    # vertex order (0,0), (0,1), (1,0), (1,1); the diagonal pairs
+    # (0,0)-(1,1) and (0,1)-(1,0) are not edges
+    pot = VertexFunction(w, np.array(values))
+    report = solver.SolveReport(1, 0.0, True)
+    monkeypatch.setattr(solver, "solve_laplacian",
+                        lambda *args, **kwargs: (pot, report))
+    e = OrientedEdge((0, 0), (0, 1))
+    if raises:
+        for run in (lambda: project_star(w, edge_indicator(w, e),
+                                         LaplacianMode.EMBEDDED),
+                    lambda: edge_score(w, e, LaplacianMode.EMBEDDED)):
+            with pytest.raises(IncompatibleDomainError):
+                run()
+    else:
+        sp = project_star(w, edge_indicator(w, e), LaplacianMode.EMBEDDED)
+        assert edge_score(w, e, LaplacianMode.EMBEDDED) == (sp.score, report)

@@ -66,8 +66,14 @@ def test_edgeless_window_rejected(z2):
     ([0], [1], [1.5, 1], "edge indices and degrees must be integers"),
     ([False], [True], [1, 1], "edge indices and degrees must be integers"),
     ([], [], [1, 1], "window has no edges"),
+    ([2**70], [1], [1, 1], "edge indices and degrees must fit in int64"),
+    ([0], [2**70], [1, 1], "edge indices and degrees must fit in int64"),
+    ([0], [-2**70], [1, 1], "edge indices and degrees must fit in int64"),
+    ([0], [1], [1, 2**70], "edge indices and degrees must fit in int64"),
 ], ids=["head past n", "head at n", "negative tail", "bool tail",
-        "float tail", "float head", "float degree", "bool edge", "no edges"])
+        "float tail", "float head", "float degree", "bool edge", "no edges",
+        "tail past int64", "head past int64", "head below int64",
+        "degree past int64"])
 def test_window_checks_its_arrays_before_counting_degrees(tails, heads,
                                                           degrees, message):
     # the degree count indexes by the edges, and the int64 arrays would
