@@ -37,8 +37,7 @@ from typing import Sequence, Tuple
 
 from .errors import InvalidWindowError, SolverFailureError
 from .families import GraphFamily, VertexId
-# project_star is not called here, but perfbench/layertrace.py patches it
-# by this module's name
+# project_star: not called here, but perfbench/layertrace.py patches it here
 from .solver import LaplacianMode, cycle_rank, edge_score, project_star
 from .windows import FiniteWindow, OrientedEdge, ball, family_edge, sigma
 
@@ -76,22 +75,16 @@ def _edge_scores(family: GraphFamily, e: OrientedEdge, r: int,
                  need_diamond: bool = True) -> EdgeScores:
     e = family_edge(family, *e).canonical()
     window = edge_ball(family, e, r)
-    star = 0.0
-    iters = 0
-    residual = 0.0
+    star, diamond, iters, residual = 0.0, 0.0, 0, 0.0
     if need_star:
         star, report = edge_score(window, e, LaplacianMode.EMBEDDED, tol)
         iters += report.iterations
         residual = max(residual, report.residual)
-    diamond = 0.0
-    if need_diamond:
-        if cycle_rank(window) == 0:
-            diamond = 0.0  # empty cycle space, exactly
-        else:
-            free, report = edge_score(window, e, LaplacianMode.FREE, tol)
-            diamond = 1.0 - free
-            iters += report.iterations
-            residual = max(residual, report.residual)
+    if need_diamond and cycle_rank(window) > 0:  # else 0.0, exactly
+        free, report = edge_score(window, e, LaplacianMode.FREE, tol)
+        diamond = 1.0 - free
+        iters += report.iterations
+        residual = max(residual, report.residual)
     return EdgeScores(star, diamond, 1.0 - star - diamond, iters, residual)
 
 

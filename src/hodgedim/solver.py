@@ -15,8 +15,7 @@ project_star(u) computes the orthogonal projection of u onto {dv} for the
 given mode by solving the normal equations L v = d* u with a Jacobi
 preconditioned conjugate gradient, matrix-free over the window's edge
 arrays. In FREE mode the right-hand side must have zero mean; the returned
-potential is mean-centered. edge_score(e) gives the score of the projection
-of the edge indicator chi_e from one solve and no edge-length vector.
+potential is mean-centered.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ class SolveReport:
 
 
 def _mode_degrees(window: FiniteWindow, mode: LaplacianMode) -> np.ndarray:
-    """The mode's degrees as floats; one element where every vertex has the
-    same degree, which broadcasts to the same products bit for bit."""
+    """Float degrees: one element, which broadcasts, where all are equal."""
     deg = (window.full_degree if mode is LaplacianMode.EMBEDDED
            else window.internal_degree)
     return (deg[:1] if deg.min() == deg.max() else deg).astype(np.float64)
@@ -109,9 +107,8 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     # 10^5 floats and more are page-faulted in again on each one. Only the
     # adjacency apply's bincount sums are still allocated (see
     # `adjacency_apply`). The operations and their operands are those of the
-    # textbook loop. `tmp` holds A p, then alpha p, then alpha ap, in the
-    # buffer of `z`, which is dead from the update of `p` until it is
-    # recomputed from the new `r`.
+    # textbook loop. `tmp` (z's buffer: z is dead from the update of p until
+    # it is recomputed) holds A p, then alpha p, then alpha ap.
     ap, tmp = np.empty(n), z
     gathered = np.empty(window.n_edges)
     iterations = 0
@@ -164,20 +161,17 @@ def project_star(window: FiniteWindow, u: EdgeFunction, mode: LaplacianMode,
 
 def edge_score(window: FiniteWindow, e: OrientedEdge, mode: LaplacianMode,
                tol: float = 1e-10) -> tuple[float, SolveReport]:
-    """The score and report of `project_star` on `edge_indicator(window, e)`,
-    bit for bit, with no edge-length vector: d* chi_e is sign at the head's
-    index and -sign at the tail's, and <dv, chi_e> is the one step
-    sign (v(head) - v(tail)), or 0.0 where that step is zero."""
+    """Score and report of `project_star` on chi_e, bit for bit, with no
+    edge-length vector: d* chi_e is +-sign at the two ends, and <dv, chi_e>
+    the step sign (v(head) - v(tail)), or 0.0, the empty sum, where it is 0."""
     k, sign = window.edge_lookup(e)
-    i, j = int(window.edge_tails[k]), int(window.edge_heads[k])
-    rhs = np.zeros(window.n_vertices)
-    rhs[j], rhs[i] = sign, -sign
-    v, report = solve_laplacian(window, VertexFunction(window, rhs), mode,
-                                tol=tol)
-    x = v.values
-    if not math.isfinite(float(x.max()) - float(x.min())):
+    i, j = window.edge_tails[k], window.edge_heads[k]
+    rhs = VertexFunction(window, np.zeros(window.n_vertices))
+    rhs.values[j], rhs.values[i] = sign, -sign
+    v, report = solve_laplacian(window, rhs, mode, tol=tol)
+    if not math.isfinite(float(v.values.max()) - float(v.values.min())):
         differential(v)  # raises where an edge step overflows, as dv does
-    step = sign * float(x[j] - x[i])
+    step = sign * float(v.values[j] - v.values[i])
     return (step if step != 0 else 0.0), report
 
 

@@ -79,8 +79,7 @@ class FiniteWindow:
             self.edge_tails, self.edge_heads, self.full_degree = (
                 a.astype(np.int64, copy=False) for a in given)
         except OverflowError:  # Python ints past int64
-            raise InvalidWindowError(
-                "edge indices and degrees must fit in int64") from None
+            raise InvalidWindowError("edge index or degree past int64")
         if n == 0:
             raise InvalidWindowError("window has no vertices")
         if self.edge_tails.size == 0:
@@ -137,8 +136,7 @@ class FiniteWindow:
     @property
     def edge_key(self) -> np.ndarray:
         """tail * n_vertices + head per canonical edge, ascending, built on
-        first use: one `searchsorted` on it finds the positions of many index
-        pairs. A single pair is found by `edge_lookup` without it."""
+        first use: one `searchsorted` on it finds many index pairs."""
         if self._edge_key is None:
             self._edge_key = self.edge_tails * self.n_vertices + self.edge_heads
         return self._edge_key
@@ -167,8 +165,7 @@ class FiniteWindow:
         """Return (edge position, sign) for an oriented edge of the window.
 
         sign is +1 when e is canonically oriented, -1 otherwise. Endpoints
-        are found with `bisect_index`, and the edge by bisecting the tails,
-        then the heads of the tail's edges, which are sorted.
+        are found with `bisect_index`, the edge by bisecting tails, then heads.
         """
         i = self.bisect_index(e.tail)
         j = self.bisect_index(e.head)

@@ -295,7 +295,7 @@ def test_edge_score_is_project_star_on_the_indicator(mode):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("values, raises", [
-    ([1e308, -1e308, 0.0, 0.0], True),   # the steps across (0,0)-(1,0) overflow
+    ([1e308, -1e308, 0.0, 0.0], True),  # the (0,0)-(0,1) step overflows
     ([1e308, 0.0, 0.0, -1e308], False),  # max - min overflows, no edge step
 ], ids=["edge step overflows", "only max - min overflows"])
 def test_edge_score_checks_steps_as_project_star_does(monkeypatch, values,

@@ -66,10 +66,10 @@ def test_edgeless_window_rejected(z2):
     ([0], [1], [1.5, 1], "edge indices and degrees must be integers"),
     ([False], [True], [1, 1], "edge indices and degrees must be integers"),
     ([], [], [1, 1], "window has no edges"),
-    ([2**70], [1], [1, 1], "edge indices and degrees must fit in int64"),
-    ([0], [2**70], [1, 1], "edge indices and degrees must fit in int64"),
-    ([0], [-2**70], [1, 1], "edge indices and degrees must fit in int64"),
-    ([0], [1], [1, 2**70], "edge indices and degrees must fit in int64"),
+    ([2**70], [1], [1, 1], "edge index or degree past int64"),
+    ([0], [2**70], [1, 1], "edge index or degree past int64"),
+    ([0], [-2**70], [1, 1], "edge index or degree past int64"),
+    ([0], [1], [1, 2**70], "edge index or degree past int64"),
 ], ids=["head past n", "head at n", "negative tail", "bool tail",
         "float tail", "float head", "float degree", "bool edge", "no edges",
         "tail past int64", "head past int64", "head below int64",
