@@ -80,7 +80,7 @@ def _edge_scores(family: GraphFamily, e: OrientedEdge, r: int,
         star, report = edge_score(window, e, LaplacianMode.EMBEDDED, tol)
         iters += report.iterations
         residual = max(residual, report.residual)
-    if need_diamond and cycle_rank(window) > 0:  # else 0.0, exactly
+    if need_diamond and cycle_rank(window) > 0:  # else no cycles: 0.0 exactly
         free, report = edge_score(window, e, LaplacianMode.FREE, tol)
         diamond = 1.0 - free
         iters += report.iterations

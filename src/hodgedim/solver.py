@@ -162,8 +162,8 @@ def project_star(window: FiniteWindow, u: EdgeFunction, mode: LaplacianMode,
 def edge_score(window: FiniteWindow, e: OrientedEdge, mode: LaplacianMode,
                tol: float = 1e-10) -> tuple[float, SolveReport]:
     """Score and report of `project_star` on chi_e, bit for bit, with no
-    edge-length vector: d* chi_e is +-sign at the two ends, and <dv, chi_e>
-    the step sign (v(head) - v(tail)), or 0.0, the empty sum, where it is 0."""
+    edge-length vector: d* chi_e is sign at the head, -sign at the tail, and
+    <dv, chi_e> is sign (v(head) - v(tail)), or 0.0 (no nonzero term) at 0."""
     k, sign = window.edge_lookup(e)
     i, j = window.edge_tails[k], window.edge_heads[k]
     rhs = VertexFunction(window, np.zeros(window.n_vertices))
