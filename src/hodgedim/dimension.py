@@ -37,8 +37,7 @@ from typing import Sequence, Tuple
 
 from .errors import InvalidWindowError, SolverFailureError
 from .families import GraphFamily, VertexId
-# project_star: not called here, but perfbench/layertrace.py patches it here
-from .solver import LaplacianMode, cycle_rank, edge_score, project_star
+from .solver import LaplacianMode, cycle_rank, project_star
 from .windows import FiniteWindow, OrientedEdge, ball, family_edge, sigma
 
 
@@ -77,14 +76,15 @@ def _edge_scores(family: GraphFamily, e: OrientedEdge, r: int,
     window = edge_ball(family, e, r)
     star, diamond, iters, residual = 0.0, 0.0, 0, 0.0
     if need_star:
-        star, report = edge_score(window, e, LaplacianMode.EMBEDDED, tol)
-        iters += report.iterations
-        residual = max(residual, report.residual)
+        sp = project_star(window, e, LaplacianMode.EMBEDDED, tol=tol)
+        star = sp.score
+        iters += sp.report.iterations
+        residual = max(residual, sp.report.residual)
     if need_diamond and cycle_rank(window) > 0:  # else no cycles: 0.0 exactly
-        free, report = edge_score(window, e, LaplacianMode.FREE, tol)
-        diamond = 1.0 - free
-        iters += report.iterations
-        residual = max(residual, report.residual)
+        fp = project_star(window, e, LaplacianMode.FREE, tol=tol)
+        diamond = 1.0 - fp.score
+        iters += fp.report.iterations
+        residual = max(residual, fp.report.residual)
     return EdgeScores(star, diamond, 1.0 - star - diamond, iters, residual)
 
 

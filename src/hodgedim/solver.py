@@ -145,34 +145,33 @@ class StarProjection:
     report: SolveReport
 
 
-def project_star(window: FiniteWindow, u: EdgeFunction, mode: LaplacianMode,
-                 tol: float = 1e-10) -> StarProjection:
+def project_star(window: FiniteWindow, u: EdgeFunction | OrientedEdge,
+                 mode: LaplacianMode, tol: float = 1e-10) -> StarProjection:
     """Project u orthogonally onto the gradient space of the given mode.
 
     score = <P u, u>. In EMBEDDED mode the projection conceptually has values
     on the implicit boundary edges as well; the returned EdgeFunction is its
     window-internal part, and the score already accounts for the rest because
     u vanishes there.
+
+    An oriented edge e of the window stands for its indicator chi_e, which
+    is then not built: d* chi_e is sign at the head and -sign at the tail,
+    and <dv, chi_e> is sign dv(e), or 0.0 (no nonzero term) where that is 0,
+    the same bits as from chi_e.
     """
-    v, report = solve_laplacian(window, codifferential(u), mode, tol=tol)
-    proj = differential(v)
-    return StarProjection(proj, v, inner(proj, u), report)
-
-
-def edge_score(window: FiniteWindow, e: OrientedEdge, mode: LaplacianMode,
-               tol: float = 1e-10) -> tuple[float, SolveReport]:
-    """Score and report of `project_star` on chi_e, bit for bit, with no
-    edge-length vector: d* chi_e is sign at the head, -sign at the tail, and
-    <dv, chi_e> is sign (v(head) - v(tail)), or 0.0 (no nonzero term) at 0."""
-    k, sign = window.edge_lookup(e)
-    i, j = window.edge_tails[k], window.edge_heads[k]
-    rhs = VertexFunction(window, np.zeros(window.n_vertices))
-    rhs.values[j], rhs.values[i] = sign, -sign
+    if isinstance(u, OrientedEdge):
+        k, sign = window.edge_lookup(u)
+        rhs = VertexFunction(window, np.zeros(window.n_vertices))
+        rhs.values[window.edge_heads[k]] = sign
+        rhs.values[window.edge_tails[k]] = -sign
+    else:
+        rhs = codifferential(u)
     v, report = solve_laplacian(window, rhs, mode, tol=tol)
-    if not math.isfinite(float(v.values.max()) - float(v.values.min())):
-        differential(v)  # raises where an edge step overflows, as dv does
-    step = sign * float(v.values[j] - v.values[i])
-    return (step if step != 0 else 0.0), report
+    proj = differential(v)
+    if isinstance(u, OrientedEdge):
+        score = sign * float(proj.values[k])
+        return StarProjection(proj, v, score if score != 0 else 0.0, report)
+    return StarProjection(proj, v, inner(proj, u), report)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from hodgedim import (EdgeFunction, IncompatibleRhsError, LaplacianMode,
                       inner, is_flow, laplacian_apply, make_family,
                       OrientedEdge, origin_edge, project_star,
                       solve_laplacian)
-from hodgedim.solver import edge_score
 from conftest import (cycle_space_dim, dense_star_projection, incidence,
                       random_window)
 
@@ -277,20 +276,27 @@ def _score_windows():
     yield "random", fam, random_window(fam, rng, 60)
 
 
+def _same_projection(a, b):
+    return (a.score.hex() == b.score.hex() and a.report == b.report
+            and a.potential.values.tobytes() == b.potential.values.tobytes()
+            and a.projection.values.tobytes() == b.projection.values.tobytes())
+
+
 @pytest.mark.parametrize("mode", list(LaplacianMode))
-def test_edge_score_is_project_star_on_the_indicator(mode):
-    """Score and report equal project_star's on chi_e bit for bit, for every
-    edge of each window in both orientations, at a loose and a tight tol."""
+def test_project_star_on_an_edge_is_the_indicator(mode):
+    """project_star on an oriented edge equals project_star on its chi_e bit
+    for bit, for every edge of each window in both orientations, at a loose
+    and a tight tol."""
     for name, fam, w in _score_windows():
         verts = w.vertices
         for a, b in zip(w.edge_tails.tolist(), w.edge_heads.tolist()):
             for e in (OrientedEdge(verts[a], verts[b]),
                       OrientedEdge(verts[b], verts[a])):
                 for tol in (1e-3, TOL):
-                    sp = project_star(w, edge_indicator(w, e), mode, tol=tol)
-                    score, rep = edge_score(w, e, mode, tol)
-                    assert score.hex() == sp.score.hex(), (name, e, tol)
-                    assert rep == sp.report, (name, e, tol)
+                    assert _same_projection(
+                        project_star(w, e, mode, tol=tol),
+                        project_star(w, edge_indicator(w, e), mode, tol=tol)
+                    ), (name, e, tol)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -298,11 +304,10 @@ def test_edge_score_is_project_star_on_the_indicator(mode):
     ([1e308, -1e308, 0.0, 0.0], True),  # the (0,0)-(0,1) step overflows
     ([1e308, 0.0, 0.0, -1e308], False),  # max - min overflows, no edge step
 ], ids=["edge step overflows", "only max - min overflows"])
-def test_edge_score_checks_steps_as_project_star_does(monkeypatch, values,
-                                                      raises):
-    """Where a potential's edge step overflows, edge_score raises as
-    project_star's differential does; where only its spread overflows, both
-    give the same score."""
+def test_project_star_on_an_edge_checks_steps(monkeypatch, values, raises):
+    """Where a potential's edge step overflows, project_star raises on the
+    edge as on its chi_e; where only its spread overflows, both give the
+    same projection."""
     from hodgedim import IncompatibleDomainError, solver
     w = induced_window(make_family("z2"), [(0, 0), (0, 1), (1, 0), (1, 1)])
     # vertex order (0,0), (0,1), (1,0), (1,1); the diagonal pairs
@@ -313,11 +318,10 @@ def test_edge_score_checks_steps_as_project_star_does(monkeypatch, values,
                         lambda *args, **kwargs: (pot, report))
     e = OrientedEdge((0, 0), (0, 1))
     if raises:
-        for run in (lambda: project_star(w, edge_indicator(w, e),
-                                         LaplacianMode.EMBEDDED),
-                    lambda: edge_score(w, e, LaplacianMode.EMBEDDED)):
+        for u in (e, edge_indicator(w, e)):
             with pytest.raises(IncompatibleDomainError):
-                run()
+                project_star(w, u, LaplacianMode.EMBEDDED)
     else:
-        sp = project_star(w, edge_indicator(w, e), LaplacianMode.EMBEDDED)
-        assert edge_score(w, e, LaplacianMode.EMBEDDED) == (sp.score, report)
+        assert _same_projection(
+            project_star(w, e, LaplacianMode.EMBEDDED),
+            project_star(w, edge_indicator(w, e), LaplacianMode.EMBEDDED))
