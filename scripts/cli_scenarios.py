@@ -232,6 +232,16 @@ BAD_WINDOW_JSONS = (
     ("sigma 0.0", (("sigma", 0, 0.0),)),
     ("sigma False", (("sigma", 0, False),)),
     ("sigma '0'", (("sigma", 0, "0"),)),
+    # well-typed arrays that break the window's own rules; the edge list
+    # begins [0, 2], [1, 2], and vertex 2, (-7, 0), has 4 edges
+    ("vertices 0 and 1 swapped",
+     (("vertices", 0, [-7, -1]), ("vertices", 1, [-8, 0]))),
+    ("vertex 0 repeated", (("vertices", 1, [-8, 0]),)),
+    ("edges 0 and 1 swapped", (("edges", 0, [1, 2]), ("edges", 1, [0, 2]))),
+    ("edge 0 repeated", (("edges", 1, [0, 2]),)),
+    ("edge 0 reversed", (("edges", 0, [2, 0]),)),
+    ("degree 3 below 4 edges", (("full_degree", 2, 3),)),
+    ("edges in pieces", (("edges", None, [[0, 2], [1, 2]]),)),
 )
 
 
