@@ -277,10 +277,12 @@ def edge_function_from_csv(window: FiniteWindow,
         stop = exc
     t = np.frombuffer(tails, dtype=np.int64)
     h = np.frombuffer(heads, dtype=np.int64)
+    edges = window.edge_tails * window.n_vertices + window.edge_heads
     key = np.minimum(t, h) * window.n_vertices + np.maximum(t, h)
-    k = np.searchsorted(window.edge_key, key)
+    k = np.searchsorted(edges, key)
     k[k == window.n_edges] = 0
-    found = window.edge_key[k] == key  # never for t == h: edges have t < h
+    found = edges[k] == key  # never for t == h: edges have t < h
+    del edges
     # rows that name an edge, by edge position and in file order within one:
     # each row after the first at its position repeats an earlier row's edge
     by_edge = np.flatnonzero(found)[np.argsort(k[found], kind="stable")]

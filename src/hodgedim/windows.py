@@ -52,7 +52,9 @@ class OrientedEdge(NamedTuple):
 
 
 class FiniteWindow:
-    """Sorted vertex list, canonical edge arrays, ambient degrees.
+    """Sorted vertex list, canonical edge arrays, ambient degrees. `check`
+    checks arrays from outside the package (window JSON, library callers)
+    in full; the builders behind `ball` make valid windows and pass False.
 
     Attributes:
         vertices      tuple of vertex ids, sorted; a tree window from
@@ -75,10 +77,14 @@ class FiniteWindow:
             n = len(self._vertices)
         self._n_vertices = n
         given = [np.asarray(a) for a in (edge_tails, edge_heads, full_degree)]
-        try:
+        try:  # uint64 and float arrays cast past int64 with no error
+            if any(a.dtype.kind in "uf" and a.size and not (
+                    -2 ** 63 <= a.min().item() <= a.max().item() < 2 ** 63)
+                   for a in given):
+                raise OverflowError
             self.edge_tails, self.edge_heads, self.full_degree = (
                 a.astype(np.int64, copy=False) for a in given)
-        except OverflowError:  # Python ints past int64
+        except OverflowError:  # Python ints past int64 raise here too
             raise InvalidWindowError("edge index or degree past int64")
         if n == 0:
             raise InvalidWindowError("window has no vertices")
@@ -95,7 +101,6 @@ class FiniteWindow:
         self.boundary = self.internal_degree < self.full_degree
         self._index = None
         self._labels = None
-        self._edge_key = None
         if check and np.any(deg > self.full_degree):
             raise InvalidWindowError("internal degree exceeds ambient degree")
         if check and not self._connected():
@@ -132,14 +137,6 @@ class FiniteWindow:
         if self._labels is None:
             self._labels = list(map(encode_vertex, self.vertices))
         return self._labels
-
-    @property
-    def edge_key(self) -> np.ndarray:
-        """tail * n_vertices + head per canonical edge, ascending, built on
-        first use: one `searchsorted` on it finds many index pairs."""
-        if self._edge_key is None:
-            self._edge_key = self.edge_tails * self.n_vertices + self.edge_heads
-        return self._edge_key
 
     def vertex_index(self, x: VertexId) -> int:
         i = self.bisect_index(x)
@@ -190,13 +187,9 @@ class FiniteWindow:
 
     def _validate(self, kinds: set):
         n = self.n_vertices
-        if self._words is not None:
-            # key order is word order, so sorted distinct keys suffice
-            if np.any(np.diff(self._words.keys) <= 0):
-                raise InvalidWindowError("window vertices must be sorted")
-        elif list(self.vertices) != sorted(self.vertices):
+        if list(self.vertices) != sorted(self.vertices):
             raise InvalidWindowError("window vertices must be sorted")
-        elif len(set(self.vertices)) != n:
+        if len(set(self.vertices)) != n:
             raise InvalidWindowError("duplicate vertices in window")
         t, h = self.edge_tails, self.edge_heads
         if t.shape != h.shape:
@@ -412,8 +405,8 @@ def _metric(family: GraphFamily, sources: list, targets: list):
     return pts[:len(sources)], pts[len(sources):]
 
 
-def _grow_window(family: GraphFamily, sources: list, radius: int,
-                 check: bool) -> FiniteWindow:
+def _grow_window(family: GraphFamily, sources: list,
+                 radius: int) -> FiniteWindow:
     """Window on all vertices within `radius` of the sources.
 
     A ball about words or `_lattice_points` that `family.geometry` counts
@@ -428,8 +421,8 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     d, size = family.tree_degree, family.geometry.ball_size
     if size and sources and (d or _lattice_points(family, sources)):
         _check_size(size(radius))
-    w = (_tree_window(d, sources, radius, check) if d else
-         _lattice_window(family, sources, radius, check))
+    w = (_tree_window(d, sources, radius) if d else
+         _lattice_window(family, sources, radius))
     if w is not None:
         return w
     graph = _graph(family, sources)
@@ -449,7 +442,7 @@ def _grow_window(family: GraphFamily, sources: list, radius: int,
     keep = listed < owner
     key = np.sort(listed[keep] * n + owner[keep])
     return FiniteWindow([vertices[i] for i in ids], *np.divmod(key, n),
-                        degree, check=check)
+                        degree, check=False)
 
 
 def _layers(layer: tuple, radius: int, step) -> list:
@@ -474,16 +467,17 @@ def _layers(layer: tuple, radius: int, step) -> list:
     return [np.concatenate(a) for a in zip(*layers)]
 
 
-def _lattice_window(family: GraphFamily, sources: list, radius: int,
-                    check: bool) -> Optional[FiniteWindow]:
-    """`_grow_window` along `family.geometry`'s steps, in integer arrays. A
-    key's mixed-radix digits are a vertex's coordinates less the low corner
-    of the sources' bounding box widened by radius + 1 longest steps: key
-    order is tuple order, and key + a step's key never wraps into the next
-    row. None, for the id search, without steps, on a path (two steps: its
-    two-vertex layers cost more than the search per vertex), and unless the
-    sources are `_lattice_points` in a box inside int64 of fewer than 2**62
-    keys."""
+def _lattice_window(family: GraphFamily, sources: list,
+                    radius: int) -> Optional[FiniteWindow]:
+    """`_grow_window` along `family.geometry`'s steps, in integer arrays: a
+    valid window by construction, with sorted keys, edges in (tail, head)
+    order and the step count as each degree. A key's mixed-radix digits are
+    a vertex's coordinates less the low corner of the sources' bounding box
+    widened by radius + 1 longest steps: key order is tuple order, and key +
+    a step's key never wraps into the next row. None, for the id search,
+    without steps, on a path (two steps: its two-vertex layers cost more
+    than the search per vertex), and unless the sources are
+    `_lattice_points` in a box inside int64 of fewer than 2**62 keys."""
     offsets, k = family.geometry.steps, len(family.origin)
     if not (offsets and len(offsets) > 2 and _lattice_points(family, sources)):
         return None
@@ -510,11 +504,10 @@ def _lattice_window(family: GraphFamily, sources: list, radius: int,
                for s, m, a in zip(stride, size, lo)]
     del keys, hit
     return FiniteWindow(zip(*columns), tails, heads,
-                        np.full(n, len(offsets), np.int64), check=check)
+                        np.full(n, len(offsets), np.int64), check=False)
 
 
-def _tree_window(d: int, sources: list, radius: int,
-                 check: bool) -> Optional[FiniteWindow]:
+def _tree_window(d: int, sources: list, radius: int) -> Optional[FiniteWindow]:
     """`_grow_window` on the d-regular tree, in integer arrays.
 
     A word (a1, ..., aL) of at most W letters is the key whose base-(d+1)
@@ -575,7 +568,7 @@ def _tree_window(d: int, sources: list, radius: int,
     tails, heads = tails[step], heads[step]
     del step
     return FiniteWindow(words, tails, heads, np.full(n, d, dtype=np.int64),
-                        check=check)
+                        check=False)
 
 
 class _TreeWords:
@@ -667,41 +660,38 @@ def _decode_word(key: int, base: int, width: int) -> VertexId:
 
 
 def induced_window(family: GraphFamily, vertices: Iterable[VertexId]) -> FiniteWindow:
-    """Induced subgraph on a vertex set; must come out connected with >= 1
-    edge."""
+    """Induced subgraph on a nonempty vertex set: the ball of radius 0
+    about it, so it must come out connected with >= 1 edge."""
     vertices = list(vertices)
     if not vertices:
         raise InvalidWindowError("empty vertex set")
-    return _grow_window(family, vertices, 0, check=True)
+    return ball(family, vertices, 0)
 
 
 def ball(family: GraphFamily, center, radius: int) -> FiniteWindow:
     """Window on all vertices within `radius` of `center`.
 
     `center` may be a single vertex id or an iterable of them (a ball around
-    an edge is the ball around its endpoint pair). A ball around one vertex
-    or the two ends of an edge is connected by construction and skips the
-    connectivity check; around other sources it can fall apart, and then
-    raises InvalidWindowError as `induced_window` does. Past
-    `DEFAULT_SIZE_CAP` vertices it raises SizeLimitError.
+    an edge is the ball around its endpoint pair). The window is valid by
+    construction; only its connectivity is checked, and not around one
+    vertex or the two ends of an edge, where it holds. A ball that falls
+    apart raises InvalidWindowError, and one past `DEFAULT_SIZE_CAP`
+    vertices SizeLimitError.
     """
     if isinstance(center, tuple) and all(isinstance(c, int) for c in center):
         sources = [center]
     else:
         sources = list(center)
-    w = _grow_window(family, sources, radius, check=False)
-    if (len(sources) > 2 or len(sources) == 2 and not _is_edge(w, *sources)) \
-            and not w._connected():
+    w = _grow_window(family, sources, radius)
+    if len(sources) == 2:
+        try:
+            w.edge_lookup(OrientedEdge(*sources))
+            return w
+        except MissingEdgeError:
+            pass
+    if len(sources) > 1 and not w._connected():
         raise InvalidWindowError("window is not connected")
     return w
-
-
-def _is_edge(window: FiniteWindow, x: VertexId, y: VertexId) -> bool:
-    try:
-        window.edge_lookup(OrientedEdge(x, y))
-    except MissingEdgeError:
-        return False
-    return True
 
 
 def neighborhood(family: GraphFamily, vertex_set: Iterable[VertexId], k: int):

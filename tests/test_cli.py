@@ -362,6 +362,16 @@ def test_bad_radii(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("scores", "the following arguments are required: --radii, --family"),
+    ("scores --family z1 --radii ,",
+     "hodgedim: configuration error: no radii in ','"),
+], ids=["no family", "no radii"])
+def test_unusable_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "") and message in err
+
+
 @pytest.mark.parametrize("family, d, message", [
     ("z2", "3", "family 'z2' has d = 2, not 3"),
     ("tree3", "5", "family 'tree3' has d = 3, not 5"),

@@ -11,6 +11,7 @@ The two exactly solvable families:
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from pytest import approx
 
 from hodgedim import (BUILTIN_FAMILY_NAMES, InvalidWindowError,
                       LaplacianMode, MissingEdgeError, OrientedEdge,
+                      SolverFailureError,
                       Subspace, ball, corollary4_table, cycle_rank,
                       edge_indicator, project_star,
                       diamond_score, dim_window, edge_ball, family_from_window,
@@ -126,6 +128,38 @@ def test_score_report_monotone(z2):
 def test_score_report_needs_increasing_radii(z2):
     with pytest.raises(Exception):
         score_report(z2, origin_edge(z2), (4, 2))
+
+
+@pytest.mark.parametrize("star, diamond, hd, message", [
+    ((0.5, 0.4), (0.1, 0.1), (0.4, 0.5),
+     "star score decreased along the schedule (0.5 -> 0.4)"),
+    ((0.4, 0.5), (0.2, 0.1), (0.4, 0.4),
+     "diamond score decreased along the schedule (0.2 -> 0.1)"),
+    ((0.5, 0.5), (0.25, 0.25), (0.25, 0.5),
+     "hd score increased along the schedule (0.25 -> 0.5)"),
+    ((1.5,), (0.0,), (-0.5,), "score 1.5 outside [0, 1]"),
+    ((0.5,), (0.25,), (0.5,), "score partition broken"),
+], ids=["star falls", "diamond falls", "hd rises", "outside", "partition"])
+def test_score_report_validate_names_the_broken_rule(star, diamond, hd,
+                                                     message):
+    n = len(star)
+    report = dimension.ScoreReport(
+        family="z2", edge=OrientedEdge((0, 0), (0, 1)),
+        radii=tuple(range(1, n + 1)), star=star, diamond=diamond, hd=hd,
+        cg_iterations=(0,) * n, residuals=(0.0,) * n, tol=1e-10)
+    with pytest.raises(SolverFailureError, match=re.escape(message)):
+        report.validate()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda z2: star_score(z2, origin_edge(z2), 0),
+     "score radius must be >= 1"),
+    (lambda z2: corollary4_table(z2, (0, 0), (1, 2), 0),
+     "score radius factor must be >= 1"),
+], ids=["star score", "cor4 factor"])
+def test_score_radii_below_one_raise(z2, call, message):
+    with pytest.raises(InvalidWindowError, match=message):
+        call(z2)
 
 
 def test_score_report_rejects_pairs_off_the_tree(tree3):

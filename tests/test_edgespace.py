@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,23 @@ def test_constants_not_harmonic_with_zero_outside():
     # boundary vertices average in the grounded exterior
     assert is_harmonic(v, interior_only=True)
     assert harmonic_residual(v, interior_only=False) > 0.1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda w: VertexFunction(w, np.ones(12)),
+     "expected 13 values, got shape (12,)"),
+    (lambda w: EdgeFunction(w, np.ones((16, 1))),
+     "expected 16 values, got shape (16, 1)"),
+    (lambda w: mask_edges(EdgeFunction(w, np.ones(16)), np.ones(17)),
+     "mask length does not match edge count"),
+    (lambda w: EdgeFunction(w, np.ones(16)) + EdgeFunction(
+        ball(make_family("z2"), (0, 1), 2), np.ones(16)),
+     "edge functions on different windows"),
+], ids=["vertex values", "edge values", "mask", "other window"])
+def test_values_must_fit_the_window(small_z2_window, call, message):
+    # the window has 13 vertices and 16 edges
+    with pytest.raises(IncompatibleDomainError, match=re.escape(message)):
+        call(small_z2_window)
 
 
 def test_mask_edges(small_z2_window, rng):

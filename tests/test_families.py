@@ -61,6 +61,11 @@ def test_tree_rejects_degree_below_three():
         make_family("tree", 2)
 
 
+def test_lattice_rejects_dimension_zero():
+    with pytest.raises(InvalidFamilyError, match="lattice needs a dimension"):
+        make_family("lattice", 0)
+
+
 def test_unknown_family():
     with pytest.raises(InvalidFamilyError):
         make_family("moebius")

@@ -480,6 +480,11 @@ def test_suite_row_identity_frozen(z2):
     assert row.lemma6_ratio == 0.0
 
 
+def test_suite_row_rejects_radius_zero(z2):
+    with pytest.raises(InvalidWindowError, match="window radius must be >= 1"):
+        suite_row(_map("identity", z2), 0)
+
+
 def test_suite_row_non_endomap_sentinels(z2):
     row = suite_row(_map("z2_to_diag", z2), 2)
     assert row.wobble == -1

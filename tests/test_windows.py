@@ -56,6 +56,23 @@ def test_edgeless_window_rejected(z2):
         ball(z2, (0, 0), 0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda z2: FiniteWindow([], [0], [1], []), InvalidWindowError,
+     "window has no vertices"),
+    (lambda z2: windows.bfs(z2, [(0, 0)], -1), InvalidWindowError,
+     "radius must be >= 0"),
+    (lambda z2: induced_window(z2, []), InvalidWindowError,
+     "empty vertex set"),
+    (lambda z2: ball(z2, (0, 0), 1).edge_lookup(
+        OrientedEdge((0, 0), (0, 0))), MissingEdgeError,
+     "degenerate edge OrientedEdge(tail=(0, 0), head=(0, 0))"),
+], ids=["no vertices", "bfs radius -1", "empty induced set",
+        "degenerate edge"])
+def test_degenerate_arguments_raise(z2, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(z2)
+
+
 @pytest.mark.parametrize("tails, heads, degrees, message", [
     ([0], [5], [1, 1], "edges must be canonical index pairs i < j"),
     ([0], [2], [1, 1], "edges must be canonical index pairs i < j"),
@@ -70,16 +87,31 @@ def test_edgeless_window_rejected(z2):
     ([0], [2**70], [1, 1], "edge index or degree past int64"),
     ([0], [-2**70], [1, 1], "edge index or degree past int64"),
     ([0], [1], [1, 2**70], "edge index or degree past int64"),
+    ([0], [1, 1], [1, 1], "edge arrays disagree in length"),
 ], ids=["head past n", "head at n", "negative tail", "bool tail",
         "float tail", "float head", "float degree", "bool edge", "no edges",
         "tail past int64", "head past int64", "head below int64",
-        "degree past int64"])
+        "degree past int64", "edge arrays disagree"])
 def test_window_checks_its_arrays_before_counting_degrees(tails, heads,
                                                           degrees, message):
     # the degree count indexes by the edges, and the int64 arrays would
     # truncate floats: both checks run first
     with pytest.raises(InvalidWindowError, match=re.escape(message)):
         FiniteWindow([(0,), (1,)], tails, heads, degrees)
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("tails, degrees", [
+    ([0], np.array([2 ** 63, 1], dtype=np.uint64)),
+    ([0], [2 ** 63, 1]),  # numpy reads the list as float64
+    (np.array([2 ** 64 - 1], dtype=np.uint64), [1, 1]),
+    ([0], [1.0, -2.0 ** 64]),
+], ids=["uint64 degree", "float degree", "uint64 tail", "float below int64"])
+def test_uint64_and_float_past_int64_raise(tails, degrees, check):
+    # such arrays cast to int64 with no error: 2**63 would read as -2**63
+    with pytest.raises(InvalidWindowError,
+                       match="edge index or degree past int64"):
+        FiniteWindow([(0,), (1,)], tails, [1], degrees, check=check)
 
 
 def _arrays_or_error(build, *args):
@@ -238,7 +270,7 @@ def test_undeclared_geometries_search(monkeypatch, name):
     assert len(searches) == len(verts)
     assert (rows == _per_row_distance_rows(fam, verts, verts, 4)).all()
     for r in range(1, 6):
-        assert windows._lattice_window(fam, [fam.origin], r, False) is None
+        assert windows._lattice_window(fam, [fam.origin], r) is None
         got = _outcome(ball, fam, fam.origin, r)
         assert got == _outcome(_tuple_window, fam, [fam.origin], r)
         if name == "z2 on one axis":  # the same balls as z2's kernel
@@ -827,7 +859,7 @@ def test_window_is_the_tuple_walk(monkeypatch, name):
     outcomes = set()
     for sources in cases:
         for r in range(5):
-            got = _outcome(windows._grow_window, fam, sources, r, False)
+            got = _outcome(windows._grow_window, fam, sources, r)
             assert got == _outcome(_tuple_window, fam, sources, r)
             outcomes.add(got[0] if got[0] in (InvalidWindowError,
                                                SizeLimitError) else "window")
@@ -866,12 +898,11 @@ def _any_outcome(build, *args):
 
 def _kernel_and_walk(fam, sources, r):
     """The lattice kernel's outcome, unchecked, against the tuple walk's,
-    and checked (connectivity included) against the id search's."""
-    got = _any_outcome(windows._grow_window, fam, sources, r, False)
+    and as a ball (connectivity included) against the id search's."""
+    got = _any_outcome(windows._grow_window, fam, sources, r)
     assert got == _any_outcome(_tuple_window, fam, sources, r)
-    assert (_any_outcome(windows._grow_window, fam, sources, r, True)
-            == _any_outcome(windows._grow_window, _tuple_walk(fam), sources,
-                            r, True))
+    assert (_any_outcome(ball, fam, sources, r)
+            == _any_outcome(ball, _tuple_walk(fam), sources, r))
     return got[0] if isinstance(got[0], type) else "window"
 
 
@@ -884,7 +915,7 @@ def test_lattice_kernel_edge_sources(monkeypatch, name):
     for sources, fallback in _lattice_edge_sources(len(fam.origin)):
         for r in (*range(9), 20):
             try:
-                kernel = windows._lattice_window(fam, sources, r, False)
+                kernel = windows._lattice_window(fam, sources, r)
             except (InvalidWindowError, SizeLimitError):
                 kernel = "raised"
             # z1, a path, is always left to the id search
@@ -1041,6 +1072,18 @@ def test_json_rejects_tampered_sigma(z2):
         window_from_json(json.dumps(blob))
 
 
+# the message of each slice edit below
+_WINDOW_RULES = {
+    "vertices[0:2]": "window vertices must be sorted",
+    "vertices[1:2]": "duplicate vertices in window",
+    "edges[0:2]": "edge list must be sorted and duplicate free",
+    "edges[1:2]": "edge list must be sorted and duplicate free",
+    "edges[0:1]": re.escape("edges must be canonical index pairs i < j"),
+    "full_degree[2:3]": "internal degree exceeds ambient degree",
+    "edges[2:]": "window is not connected",
+}
+
+
 @pytest.mark.parametrize("key, value", [
     ("edges", None),
     ("first edge", [1]),
@@ -1064,16 +1107,29 @@ def test_json_rejects_tampered_sigma(z2):
     ("first sigma", False),
     ("first sigma", "0"),
     ("first degree", 2 ** 70),  # past int64: used to escape as OverflowError
+    # well-typed items that break the window's own rules, written over the
+    # slice; the edges begin [0, 2], [1, 2], and vertex 2 has 4 edges
+    ("vertices[0:2]", [[-1, -1], [-2, 0]]),
+    ("vertices[1:2]", [[-2, 0]]),
+    ("edges[0:2]", [[1, 2], [0, 2]]),
+    ("edges[1:2]", [[0, 2]]),
+    ("edges[0:1]", [[2, 0]]),
+    ("full_degree[2:3]", [3]),
+    ("edges[2:]", []),
 ])
 def test_json_rejects_malformed_fields(z2, key, value):
     blob = json.loads(window_to_json(ball(z2, (0, 0), 2)))
     first = {"first edge": "edges", "first vertex": "vertices",
              "first degree": "full_degree", "first sigma": "sigma"}
-    if key in first:
+    field, _, span = key.partition("[")
+    if span:
+        lo, hi = (int(c) if c else None for c in span[:-1].split(":"))
+        blob[field][lo:hi] = value
+    elif key in first:
         blob[first[key]][0] = value
     else:
         blob[key] = value
-    with pytest.raises(InvalidWindowError):
+    with pytest.raises(InvalidWindowError, match=_WINDOW_RULES.get(key)):
         window_from_json(json.dumps(blob))
 
 
