@@ -366,7 +366,7 @@ def test_bad_radii(capsys):
     ("scores", "the following arguments are required: --radii, --family"),
     ("scores --family z1 --radii ,",
      "hodgedim: configuration error: no radii in ','"),
-], ids=["no family", "no radii"])
+], ids=["no arguments", "no radii"])
 def test_unusable_arguments_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "") and message in err
