@@ -35,18 +35,15 @@ import numpy as np
 from .dimension import corollary4_table, folner_profile, score_report
 from .edgespace import edge_function_from_csv
 from .errors import (CutoffExceededError, HodgedimError,
-                     IncompatibleDomainError, IncompatibleRhsError,
-                     InsufficientWindowError, InvalidFamilyError,
-                     InvalidWindowError, MissingEdgeError, SizeLimitError,
-                     SolverFailureError)
+                     IncompatibleRhsError, SolverFailureError)
 from .families import encode_vertex, make_family
 from .quasi import QiRow, builtin_maps, suite_row
 from .solver import hodge_decompose_finite
 from .windows import origin_edge, window_from_json
 
-_CONFIG_ERRORS = (InvalidFamilyError, InvalidWindowError,
-                  IncompatibleDomainError, MissingEdgeError, SizeLimitError,
-                  InsufficientWindowError, ValueError, OSError, csv.Error)
+# `main` catches _NUMERIC_ERRORS first: every other HodgedimError is a
+# configuration error
+_CONFIG_ERRORS = (HodgedimError, ValueError, OSError, csv.Error)
 _NUMERIC_ERRORS = (SolverFailureError, IncompatibleRhsError,
                    CutoffExceededError)
 
@@ -283,14 +280,11 @@ def main(argv=None) -> int:
             raise ValueError("--tol must be in (0, 1)")
         header, columns = _HANDLERS[ns.command](ns)
         _emit(ns.command, header, columns, ns.format, ns.out)
-    except _CONFIG_ERRORS as exc:
-        print(f"hodgedim: configuration error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERIC_ERRORS as exc:
         print(f"hodgedim: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except HodgedimError as exc:
-        print(f"hodgedim: error: {exc}", file=sys.stderr)
+    except _CONFIG_ERRORS as exc:
+        print(f"hodgedim: configuration error: {exc}", file=sys.stderr)
         return 2
     return 0
 

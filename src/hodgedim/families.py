@@ -168,8 +168,6 @@ def _tree_ball_bound(degree_bound: int, r: int) -> int:
     for any graph with degree bound D."""
     if r <= 0:
         return 1
-    if degree_bound <= 1:
-        return 2
     if degree_bound == 2:
         return 2 * r + 1
     q = degree_bound - 1

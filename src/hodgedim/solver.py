@@ -64,6 +64,12 @@ def laplacian_apply(window: FiniteWindow, v: VertexFunction,
     return VertexFunction(window, deg * v.values - adjacency_apply(window, v.values))
 
 
+class _OwnedRhs(VertexFunction):
+    """A right-hand side handed over to `solve_laplacian`: its values become
+    the loop's residual and are overwritten, so the caller must not read
+    them again."""
+
+
 def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
                     mode: LaplacianMode, tol: float = 1e-10,
                     max_iterations: int | None = None):
@@ -74,22 +80,28 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     on a window without boundary) require a zero-mean rhs and return the
     zero-mean solution. Raises SolverFailureError, carrying the report, if
     the iteration cap (default 20 |V|) is hit first.
+
+    The loop keeps five n-vectors (x, r, z, p, Ap) and one edge buffer. Its
+    residual r starts as one copy of rhs's values, which are left as they
+    are, or as the values themselves when rhs is an `_OwnedRhs`.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    r = rhs.values if type(rhs) is _OwnedRhs else rhs.values.copy()
     n = window.n_vertices
     deg = _mode_degrees(window, mode)
-    singular = bool(np.all(deg == window.internal_degree))
-    b = rhs.values
+    # the same truth value as deg == internal degree everywhere, read
+    # without counting the internal degrees
+    singular = mode is LaplacianMode.FREE or not window.boundary.any()
 
     if singular:
-        drift = math.fsum(b.tolist())
-        if abs(drift) > 1e-8 * max(1.0, float(np.abs(b).sum())):
+        drift = math.fsum(r.tolist())
+        if abs(drift) > 1e-8 * max(1.0, float(np.abs(r).sum())):
             raise IncompatibleRhsError(
                 f"rhs sums to {drift:.3e}; a singular mode needs zero mean")
-        b = b - drift / n
+        r -= drift / n
 
-    bnorm = math.sqrt(float(np.dot(b, b)))  # np.linalg.norm's 1-D formula
+    bnorm = math.sqrt(float(np.dot(r, r)))  # np.linalg.norm's 1-D formula
     if bnorm == 0.0:
         return VertexFunction(window, np.zeros(n)), SolveReport(0, 0.0, True)
 
@@ -98,7 +110,6 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
 
     inv_deg = 1.0 / deg  # connected window with an edge: every degree >= 1
     x = np.zeros(n)
-    r = b.copy()
     z = r * inv_deg
     p = z.copy()
     rz = float(np.dot(r, z))
@@ -108,9 +119,11 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     # adjacency apply's bincount sums are still allocated (see
     # `adjacency_apply`). The operations and their operands are those of the
     # textbook loop. `tmp` (z's buffer: z is dead from the update of p until
-    # it is recomputed) holds A p, then alpha p, then alpha ap.
-    ap, tmp = np.empty(n), z
-    gathered = np.empty(window.n_edges)
+    # it is recomputed) holds A p, then alpha p, then alpha ap. `ap` and the
+    # apply's gathered edge values share one buffer: ap is dead from its
+    # last read until it is recomputed from the apply's result.
+    work = np.empty(max(n, window.n_edges))
+    ap, gathered, tmp = work[:n], work[:window.n_edges], z
     iterations = 0
     while relres > tol and iterations < max_iterations:
         adjacency_apply(window, p, out=tmp, gathered=gathered)
@@ -161,12 +174,13 @@ def project_star(window: FiniteWindow, u: EdgeFunction | OrientedEdge,
     """
     if isinstance(u, OrientedEdge):
         k, sign = window.edge_lookup(u)
-        rhs = VertexFunction(window, np.zeros(window.n_vertices))
-        rhs.values[window.edge_heads[k]] = sign
-        rhs.values[window.edge_tails[k]] = -sign
+        b = np.zeros(window.n_vertices)
+        b[window.edge_heads[k]] = sign
+        b[window.edge_tails[k]] = -sign
     else:
-        rhs = codifferential(u)
-    v, report = solve_laplacian(window, rhs, mode, tol=tol)
+        b = codifferential(u).values
+    # b is fresh and read nowhere else: the solve takes it, with no copy
+    v, report = solve_laplacian(window, _OwnedRhs(window, b), mode, tol=tol)
     proj = differential(v)
     if isinstance(u, OrientedEdge):
         score = sign * float(proj.values[k])

@@ -57,14 +57,19 @@ class FiniteWindow:
     in full; the builders behind `ball` make valid windows and pass False.
 
     Attributes:
-        vertices      tuple of vertex ids, sorted; a tree window from
-                      `_tree_window` holds its words as `_TreeWords` keys
-                      and builds the tuples on first use
-        labels        `encode_vertex` of each vertex, built on first use
-        edge_tails    int array, tail index of each canonical edge
-        edge_heads    int array, head index (always > tail index)
-        full_degree   int array, ambient degree per vertex
-        boundary      bool array, True where some ambient neighbor is outside
+        vertices         tuple of vertex ids, sorted; a tree window from
+                         `_tree_window` holds its words as `_TreeWords` keys
+                         and builds the tuples on first use
+        labels           `encode_vertex` of each vertex, built on first use
+        edge_tails       int64 array, tail index of each canonical edge
+        edge_heads       int64 array, head index (always > tail index)
+        full_degree      int64 array, ambient degree per vertex; on a window
+                         of one ambient degree built by a kernel, a
+                         read-only view of one value with stride 0
+        internal_degree  int64 array, window edges at each vertex, counted
+                         on first use: an EMBEDDED solve never reads it
+        boundary         bool array, True where some ambient neighbor is
+                         outside
     """
 
     def __init__(self, vertices, edge_tails, edge_heads, full_degree,
@@ -94,15 +99,14 @@ class FiniteWindow:
             raise InvalidWindowError("full_degree has wrong length")
         if check:  # before the degree count, which indexes by the edges
             self._validate({a.dtype.kind for a in given})
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, self.edge_tails, 1)
-        np.add.at(deg, self.edge_heads, 1)
-        self.internal_degree = deg
-        self.boundary = self.internal_degree < self.full_degree
+        deg = self._count_degrees()
+        self.boundary = deg < self.full_degree
+        self._internal_degree = None
         self._index = None
         self._labels = None
         if check and np.any(deg > self.full_degree):
             raise InvalidWindowError("internal degree exceeds ambient degree")
+        del deg
         if check and not self._connected():
             raise InvalidWindowError("window is not connected")
 
@@ -121,6 +125,18 @@ class FiniteWindow:
     @property
     def n_edges(self) -> int:
         return int(self.edge_tails.size)
+
+    @property
+    def internal_degree(self) -> np.ndarray:
+        if self._internal_degree is None:
+            self._internal_degree = self._count_degrees()
+        return self._internal_degree
+
+    def _count_degrees(self) -> np.ndarray:
+        n = self.n_vertices
+        deg = np.bincount(self.edge_tails, minlength=n)
+        deg += np.bincount(self.edge_heads, minlength=n)
+        return deg
 
     @property
     def index(self) -> dict:
@@ -504,7 +520,7 @@ def _lattice_window(family: GraphFamily, sources: list,
                for s, m, a in zip(stride, size, lo)]
     del keys, hit
     return FiniteWindow(zip(*columns), tails, heads,
-                        np.full(n, len(offsets), np.int64), check=False)
+                        _constant(len(offsets), n), check=False)
 
 
 def _tree_window(d: int, sources: list, radius: int) -> Optional[FiniteWindow]:
@@ -567,8 +583,13 @@ def _tree_window(d: int, sources: list, radius: int) -> Optional[FiniteWindow]:
     step = tails.argsort(kind="stable")
     tails, heads = tails[step], heads[step]
     del step
-    return FiniteWindow(words, tails, heads, np.full(n, d, dtype=np.int64),
-                        check=False)
+    return FiniteWindow(words, tails, heads, _constant(d, n), check=False)
+
+
+def _constant(degree: int, n: int) -> np.ndarray:
+    """n int64 copies of `degree` as a read-only view of one value: the
+    kernels' windows hold no degree array."""
+    return np.broadcast_to(np.int64(degree), (n,))
 
 
 class _TreeWords:

@@ -3,9 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from importlib.resources import files
 
@@ -503,3 +505,21 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["cor4 False", "scores False",
                                        "qicheck False", ""]
+
+
+@pytest.mark.parametrize("module", ["hodgedim", "hodgedim.cli"])
+def test_python_dash_m_runs_main(monkeypatch, tmp_path, module):
+    """`python -m hodgedim` and `python -m hodgedim.cli`, run in process:
+    the same exit status and bytes as `main`."""
+    argv = ["scores", "--family", "z1", "--radii", "1..3"]
+    assert main([*argv, "--out", str(tmp_path / "main.csv")]) == 0
+    monkeypatch.setattr(sys, "argv",
+                        [module, *argv, "--out", str(tmp_path / "m.csv")])
+    with warnings.catch_warnings():
+        # hodgedim.cli runs afresh as __main__ beside the imported module
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+    assert exit_.value.code == 0
+    assert ((tmp_path / "m.csv").read_bytes()
+            == (tmp_path / "main.csv").read_bytes())

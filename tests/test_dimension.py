@@ -270,6 +270,33 @@ def test_edge_score_peak_memory_in_vertex_vectors(tree3):
     assert peak / (8 * n) < 14
 
 
+def test_embedded_star_holds_five_solver_vectors(tree3):
+    """The EMBEDDED star projection of tree3's origin edge on its r=12 ball
+    (16,382 vertices), by tracemalloc, in float vectors of the ball's
+    length. The window holds its words, lengths, two edge arrays and the
+    boundary flags: under 3.5, with one broadcast ambient degree and the
+    internal degrees left uncounted. The solve peaks under 6.5: x, r (the
+    right-hand side itself), z, p, one buffer shared by Ap and the gathered
+    edge values, and one bincount sum. Degree arrays, a copy of the
+    right-hand side or separate Ap and gathered buffers would add two."""
+    e = origin_edge(tree3)
+    edge_ball(tree3, e, 12)  # fills the family's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        w = edge_ball(tree3, e, 12)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        project_star(w, e, LaplacianMode.EMBEDDED)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    vector = 8 * w.n_vertices
+    assert held / vector < 3.5
+    assert peak / vector < 6.5
+
+
 def _count_edge_scores(monkeypatch):
     calls = []
     inner = dimension._edge_scores

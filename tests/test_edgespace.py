@@ -166,6 +166,19 @@ def test_constants_not_harmonic_with_zero_outside():
     assert harmonic_residual(v, interior_only=False) > 0.1
 
 
+def test_interior_checks_pass_on_a_window_without_interior():
+    """Both ends of one z2 edge lie on the boundary: the interior checks
+    have no vertex to check and read 0.0, the full checks see the values."""
+    w = ball(make_family("z2"), [(0, 0), (1, 0)], 0)
+    assert not (~w.boundary).any()
+    u = EdgeFunction(w, np.array([1.0]))
+    v = VertexFunction(w, np.array([1.0, -2.0]))
+    assert flow_residual(u) == 0.0 and is_flow(u)
+    assert harmonic_residual(v) == 0.0 and is_harmonic(v)
+    assert flow_residual(u, interior_only=False) == 1.0
+    assert harmonic_residual(v, interior_only=False) == 2.25
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda w: VertexFunction(w, np.ones(12)),
      "expected 13 values, got shape (12,)"),

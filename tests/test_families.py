@@ -174,3 +174,10 @@ def test_vertex_codec_roundtrip(x):
     s = encode_vertex(x)
     assert decode_vertex(s) == x
     assert isinstance(s, str)
+
+
+def test_decode_vertex_of_the_root():
+    # the root word's cell, with or without spaces inside the parentheses
+    for cell in ("()", "( )", " (  ) "):
+        assert decode_vertex(cell) == ()
+    assert encode_vertex(()) == "()"

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hodgedim import ball, folner_profile, make_family, sigma
+from hodgedim import GraphFamily, ball, folner_profile, make_family, sigma
 from hodgedim.quasi import lex_min_path
 from hodgedim.windows import bfs, distance_rows
 
@@ -112,6 +112,28 @@ def test_folner_counts_are_coordination_sums(name, radii):
             n, s = _lattice_ball_size(k, r), _lattice_sphere_size(k, r)
         assert (row.n_vertices, row.sigma_size) == (n, s)
     assert n >= 10 ** 5  # at the largest radius
+
+
+def test_king_moves_have_steps_and_no_closed_form():
+    """King's moves on z2 translate on both axes with eight steps, neither
+    z^k's nor the triangular lattice's: the geometry keeps the steps, so
+    the lattice kernel builds the balls, and has no ball count or metric.
+    Balls are the Chebyshev balls."""
+    steps = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
+
+    def king(x):
+        return tuple(sorted((x[0] + a, x[1] + b) for a, b in steps))
+    fam = GraphFamily("king", (0, 0), 8, king, translation_axes=2)
+    geometry = fam.geometry
+    assert sorted(geometry.steps) == steps
+    assert geometry.ball_size is None and geometry.distance is None
+    for r in range(1, 5):
+        w = ball(fam, (0, 0), r)
+        assert list(w.vertices) == sorted(
+            itertools.product(range(-r, r + 1), repeat=2))
+        assert w.full_degree.strides == (0,)  # the kernel's window
+        assert w.n_edges == 2 * (2 * r + 1) * 2 * r + 2 * (2 * r) ** 2
+        assert len(sigma(w)) == 8 * r
 
 
 # -- distances ----------------------------------------------------------------

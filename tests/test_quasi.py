@@ -8,9 +8,10 @@ import pytest
 from pytest import approx
 
 from hodgedim import (BUILTIN_FAMILY_NAMES, CutoffExceededError,
-                      DistortionReport, EdgeFunction, HodgedimError,
-                      IncompatibleDomainError, InsufficientWindowError,
-                      InvalidWindowError, QuasiMap, SizeLimitError,
+                      DistortionReport, EdgeFunction, GraphFamily,
+                      HodgedimError, IncompatibleDomainError,
+                      InsufficientWindowError, InvalidWindowError, QuasiMap,
+                      SizeLimitError,
                       VertexFunction, ball, builtin_maps, differential,
                       distortion_estimate, family_edge, inner, lemma5_check,
                       lemma5_constant, lemma6_check, lemma6_constant,
@@ -205,6 +206,25 @@ def test_density_gap_of_sparse_image():
     assert rep.k_est == 2
 
 
+def test_density_probe_off_the_graph_raises():
+    """The probe reuses one path per step, shifted, on a target declared
+    translation invariant. On a target whose rule breaks that declaration
+    (a path on x <= 0, then only the even x > 0) the shifted path of the
+    edge from f(0) = (0,) to f(1) = (2,) runs through (1,), which no search
+    from the image reaches: the probe raises instead of reading a gap."""
+    def rule(v):
+        x, = v
+        if x < 0:
+            return ((x - 1,), (x + 1,))
+        return ((-1,), (2,)) if x == 0 else ((x - 2,), (x + 2,))
+    bent = GraphFamily("bent", (0,), 2, rule, translation_axes=1)
+    z1 = make_family("z1")
+    double = QuasiMap("double", z1, bent, lambda x: (2 * x[0],), 2.0)
+    with pytest.raises(CutoffExceededError,
+                       match="density probe ran past the cutoff"):
+        distortion_estimate(double, ball(z1, (0,), 1), 10)
+
+
 def test_wobble(z2):
     w = ball(z2, (0, 0), 2)
     assert wobbling_displacement(_map("identity", z2), w) == 0
@@ -347,6 +367,30 @@ def test_lemma5_localization_must_be_inside(z2):
         lemma5_check(f, v, src, a=[(9, 9)])
 
 
+def test_lemma5_target_must_hold_the_k_neighborhood(z2):
+    # the target holds every image but not the image's 1-neighbourhood
+    f = _map("identity", z2)
+    src = ball(z2, (0, 0), 2)
+    v = VertexFunction(src, np.ones(src.n_vertices))
+    with pytest.raises(InsufficientWindowError,
+                       match="in the k-neighborhood of the image"):
+        lemma5_check(f, v, src)
+
+
+def test_lemma_ratios_of_a_constant_are_zero(z2):
+    """A constant has no energy on either side: 0 / 0 reads as ratio 0,
+    which holds, for lemma 5 and lemma 6 alike."""
+    f = _map("identity", z2)
+    w = ball(z2, (0, 0), 2)
+    tgt = ball(z2, (0, 0), 4)
+    v = VertexFunction(tgt, np.full(tgt.n_vertices, 3.0))
+    l5 = lemma5_check(f, v, w)
+    assert (l5.lhs, l5.rhs, l5.ratio, l5.holds) == (0.0, 0.0, 0.0, True)
+    l6 = lemma6_check(f, v, w)
+    assert (l6.diff_norm, l6.energy, l6.ratio, l6.holds) == (0.0, 0.0, 0.0,
+                                                             True)
+
+
 def test_lemma5_translation_bounded(z2):
     f = _map("translation", z2)
     src = ball(z2, (0, 0), 3)
@@ -417,6 +461,14 @@ def test_star_membership_of_circulation(z2):
         assert res == approx(2.0, abs=1e-8)
 
 
+def test_star_membership_of_zero(z2):
+    # no support, so no ball to grow: residual 0 at every radius
+    w = ball(z2, (0, 0), 1)
+    u = EdgeFunction(w, np.zeros(w.n_edges))
+    assert star_membership_residual(z2, u, (1, 2, 4)) == [
+        (1, 0.0), (2, 0.0), (4, 0.0)]
+
+
 def test_nearest_preimage_identity(z2):
     f = _map("identity", z2)
     w = ball(z2, (0, 0), 2)
@@ -483,6 +535,17 @@ def test_suite_row_identity_frozen(z2):
 def test_suite_row_rejects_radius_zero(z2):
     with pytest.raises(InvalidWindowError, match="window radius must be >= 1"):
         suite_row(_map("identity", z2), 0)
+
+
+def test_suite_row_underclaimed_distortion_raises():
+    """x -> 3x on z1 claimed 1-Lipschitz: the row's cutoff 2(r+2)+4 = 26
+    at r = 9 passes every edge's path and the wobble, 18, but not the image
+    eccentricity, 27."""
+    z1 = make_family("z1")
+    triple = QuasiMap("triple", z1, z1, lambda x: (3 * x[0],), 1.0)
+    with pytest.raises(CutoffExceededError,
+                       match="image eccentricity exceeds cutoff"):
+        suite_row(triple, 9)
 
 
 def test_suite_row_non_endomap_sentinels(z2):

@@ -824,12 +824,28 @@ def _tuple_window(family, sources, radius):
                         check=False)
 
 
+def _add_at_degree(w):
+    """The internal degrees counted one edge end at a time."""
+    deg = np.zeros(w.n_vertices, dtype=np.int64)
+    np.add.at(deg, w.edge_tails, 1)
+    np.add.at(deg, w.edge_heads, 1)
+    return deg
+
+
+def _same_degrees(w):
+    return (w.internal_degree.dtype == np.int64
+            and np.array_equal(w.internal_degree, _add_at_degree(w)))
+
+
 def _outcome(build, *args):
-    """A window's arrays, or the type and message of what it raised."""
+    """A window's arrays, or the type and message of what it raised. The
+    internal degrees of a window must be its edge ends counted one by
+    one."""
     try:
         w = build(*args)
     except (InvalidWindowError, SizeLimitError) as exc:
         return type(exc), str(exc)
+    assert _same_degrees(w)
     return (w.vertices, w.edge_tails.tolist(), w.edge_heads.tolist(),
             w.full_degree.tolist())
 
@@ -1063,6 +1079,22 @@ def test_json_roundtrip(z2):
     assert same_window(w, w2)
     assert np.array_equal(w.full_degree, w2.full_degree)
     assert np.array_equal(w.boundary, w2.boundary)
+    assert _same_degrees(w2) and w2.full_degree.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["tree3", "tree4", "z2", "z3",
+                                  "diag_lattice"])
+def test_kernel_windows_hold_one_ambient_degree(name):
+    """A kernel's window of one ambient degree holds it as a read-only
+    int64 view of one value, with stride 0; its values are unchanged."""
+    fam = make_family(name)
+    w = ball(fam, fam.origin, 3)
+    degree = len(fam.neighbors(fam.origin))
+    assert w.full_degree.strides == (0,)
+    assert not w.full_degree.flags.writeable
+    assert w.full_degree.dtype == np.int64
+    assert w.full_degree.tolist() == [degree] * w.n_vertices
+    assert np.array_equal(w.boundary, w.internal_degree < degree)
 
 
 def test_json_rejects_tampered_sigma(z2):
