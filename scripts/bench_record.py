@@ -2,7 +2,7 @@
 """Record the benchmark of one git revision as a BENCH_*.json file.
 
     python3 scripts/bench_record.py --ref REV --out BENCH_prNN.json
-        [--seed N] [--seconds S] [--workdir DIR] [--keep]
+        [--seed N] [--seconds S] [--workdir DIR]
 
 Unpacks `git archive REV` into DIR/hodgedim-bench-<12 hex digits of the
 commit>, a path of the same length for every revision: the directory name
@@ -13,8 +13,8 @@ untraced and traced, one after the other. The file holds each run's result
 line with its commit, workload, seed, `--seconds` and trace flag, and the
 machine and environment that move the numbers: Python, numpy and its BLAS,
 the CPU count and platform, `OPENBLAS_NUM_THREADS`, any `MALLOC_*`
-variable and `PYTHONDONTWRITEBYTECODE`. The checkout is removed afterwards
-unless `--keep` is given. Exits 1 if a run fails or reports a failed row.
+variable and `PYTHONDONTWRITEBYTECODE`. The checkout is removed afterwards.
+Exits 1 if a run fails or reports a failed row.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--workdir", type=Path,
                         default=Path(tempfile.gettempdir()))
-    parser.add_argument("--keep", action="store_true")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
@@ -111,8 +110,7 @@ def main(argv=None) -> int:
                              "seed": args.seed, "seconds": seconds,
                              "trace": trace, "result": result})
     finally:
-        if not args.keep:
-            shutil.rmtree(path, ignore_errors=True)
+        shutil.rmtree(path, ignore_errors=True)
     record = {"ref": args.ref, "commit": commit,
               "subject": _git("log", "-1", "--format=%s", commit),
               "machine": machine(), "environment": environment(),

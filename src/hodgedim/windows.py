@@ -106,7 +106,6 @@ class FiniteWindow:
         self._labels = None
         if check and np.any(deg > self.full_degree):
             raise InvalidWindowError("internal degree exceeds ambient degree")
-        del deg
         if check and not self._connected():
             raise InvalidWindowError("window is not connected")
 
@@ -519,8 +518,8 @@ def _lattice_window(family: GraphFamily, sources: list,
     columns = [(keys // s % m + a).tolist()
                for s, m, a in zip(stride, size, lo)]
     del keys, hit
-    return FiniteWindow(zip(*columns), tails, heads,
-                        _constant(len(offsets), n), check=False)
+    return FiniteWindow(zip(*columns), tails, heads, np.broadcast_to(
+        np.int64(len(offsets)), (n,)), check=False)
 
 
 def _tree_window(d: int, sources: list, radius: int) -> Optional[FiniteWindow]:
@@ -583,13 +582,8 @@ def _tree_window(d: int, sources: list, radius: int) -> Optional[FiniteWindow]:
     step = tails.argsort(kind="stable")
     tails, heads = tails[step], heads[step]
     del step
-    return FiniteWindow(words, tails, heads, _constant(d, n), check=False)
-
-
-def _constant(degree: int, n: int) -> np.ndarray:
-    """n int64 copies of `degree` as a read-only view of one value: the
-    kernels' windows hold no degree array."""
-    return np.broadcast_to(np.int64(degree), (n,))
+    return FiniteWindow(words, tails, heads,
+                        np.broadcast_to(np.int64(d), (n,)), check=False)
 
 
 class _TreeWords:
