@@ -251,11 +251,11 @@ def test_edge_scores_are_project_star_on_the_indicator(name):
 
 def test_edge_score_peak_memory_in_vertex_vectors(tree3):
     """One tree3 edge score at r=12 (16,382 vertices) peaks, by tracemalloc,
-    below 14 float vectors of the ball's length: the ball's five integer
-    arrays, the right-hand side, the solver's x, r, z, p and Ap, the
-    gathered edge values and one bincount sum. Float copies of the degrees,
-    a loop temporary beside z, the edge key and a one-hot chi_e would add
-    five more."""
+    below 14 float vectors of the ball's length: the ball being built, then
+    the solver's vectors beside the ball (measured alone in
+    `test_embedded_star_holds_five_solver_vectors`). Float copies of the
+    degrees, a loop temporary beside z, the edge key and a one-hot chi_e
+    would add five more."""
     e = origin_edge(tree3)
     n = edge_ball(tree3, e, 12).n_vertices
     dimension._edge_scores(tree3, e, 12)  # fills the family's caches
