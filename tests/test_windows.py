@@ -824,17 +824,14 @@ def _tuple_window(family, sources, radius):
                         check=False)
 
 
-def _add_at_degree(w):
-    """The internal degrees counted one edge end at a time."""
+def _same_degrees(w):
+    """Whether the internal degrees are int64 and the edge ends counted one
+    at a time."""
     deg = np.zeros(w.n_vertices, dtype=np.int64)
     np.add.at(deg, w.edge_tails, 1)
     np.add.at(deg, w.edge_heads, 1)
-    return deg
-
-
-def _same_degrees(w):
     return (w.internal_degree.dtype == np.int64
-            and np.array_equal(w.internal_degree, _add_at_degree(w)))
+            and np.array_equal(w.internal_degree, deg))
 
 
 def _outcome(build, *args):
