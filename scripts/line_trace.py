@@ -20,9 +20,12 @@ three times slower than an untraced one.
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgedim"
@@ -56,10 +59,8 @@ def statements(path: Path) -> dict:
 
 
 def main(argv: list) -> int:
-    import pytest
-
     seen = set()
-    prefix = str(PACKAGE) + "/"
+    prefix = str(PACKAGE) + os.sep
 
     def local(frame, event, arg):
         if event == "line":
@@ -73,9 +74,8 @@ def main(argv: list) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv]
-                             if argv else ["-q", "-p", "no:cacheprovider",
-                                           str(ROOT / "tests")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider",
+                              *(argv or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
         threading.settrace(None)
