@@ -2,15 +2,15 @@
 """Record the benchmark of one git revision as a BENCH_*.json file.
 
     python3 scripts/bench_record.py --ref REV --out BENCH_prNN.json
-        [--seed N] [--seconds S] [--workdir DIR]
 
-Unpacks `git archive REV` into DIR/hodgedim-bench-<12 hex digits of the
+Unpacks `git archive REV` into /tmp/hodgedim-bench-<12 hex digits of the
 commit>, a path of the same length for every revision: the directory name
 alone moves `peak_rss_mb` and `wall_s`. It replaces that checkout's
 `perfbench/` with this checkout's, so every revision runs the same harness,
 and runs `perfbench/run.py` unchanged on each workload of `BENCHMARK.json`,
-untraced and traced, one after the other. The file holds each run's result
-line with its commit, workload, seed, `--seconds` and trace flag, and the
+untraced and traced, one after the other, for the benchmark's
+`run_seconds` with seed 4242. The file holds each run's result line with
+its commit, workload, seed, run seconds and trace flag, and the
 machine and environment that move the numbers: Python, numpy and its BLAS,
 the CPU count and platform, `OPENBLAS_NUM_THREADS`, any `MALLOC_*`
 variable and `PYTHONDONTWRITEBYTECODE`. The checkout is removed afterwards.
@@ -26,12 +26,13 @@ import platform
 import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKDIR = Path("/tmp")
+SEED = 4242
 
 
 def _git(*args: str) -> str:
@@ -39,9 +40,9 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def checkout(commit: str, workdir: Path) -> Path:
+def checkout(commit: str) -> Path:
     """`git archive` of the commit, with this checkout's perfbench/."""
-    path = workdir / f"hodgedim-bench-{commit[:12]}"
+    path = WORKDIR / f"hodgedim-bench-{commit[:12]}"
     shutil.rmtree(path, ignore_errors=True)
     path.mkdir(parents=True)
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", commit],
@@ -80,21 +81,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seed", type=int, default=4242)
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--workdir", type=Path,
-                        default=Path(tempfile.gettempdir()))
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     commit = _git("rev-parse", "--verify", f"{args.ref}^{{commit}}")
-    path = checkout(commit, args.workdir)
+    path = checkout(commit)
     runs, ok = [], True
     try:
         for workload in (w["name"] for w in bench["workloads"]):
             for trace in (0, 1):
                 cmd = [sys.executable, "perfbench/run.py", "--workload",
-                       workload, "--seed", str(args.seed), "--seconds",
+                       workload, "--seed", str(SEED), "--seconds",
                        str(seconds), "--trace", str(trace)]
                 proc = subprocess.run(cmd, cwd=path, capture_output=True,
                                       text=True)
@@ -107,7 +104,7 @@ def main(argv=None) -> int:
                       json.dumps(result) if result else proc.stderr,
                       file=sys.stderr)
                 runs.append({"commit": commit, "workload": workload,
-                             "seed": args.seed, "seconds": seconds,
+                             "seed": SEED, "seconds": seconds,
                              "trace": trace, "result": result})
     finally:
         shutil.rmtree(path, ignore_errors=True)

@@ -165,7 +165,9 @@ def _tree_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _tree_ball_bound(degree_bound: int, r: int) -> int:
     """Vertex count of a radius-r ball in the degree-D tree: an upper bound
-    for any graph with degree bound D."""
+    for any graph with degree bound D >= 0 (D = 0: no edges, one vertex)."""
+    if degree_bound < 0:
+        raise ValueError(f"degree bound {degree_bound} is negative")
     if r <= 0:
         return 1
     if degree_bound == 2:

@@ -67,7 +67,12 @@ def laplacian_apply(window: FiniteWindow, v: VertexFunction,
 class _OwnedRhs(VertexFunction):
     """A right-hand side handed over to `solve_laplacian`: its values become
     the loop's residual and are overwritten, so the caller must not read
-    them again."""
+    them again. They are taken as they are, with no second shape and
+    finiteness pass: `project_star` builds them finite and of the
+    window's length."""
+
+    def __init__(self, window: FiniteWindow, values: np.ndarray):
+        self.window, self.values = window, values
 
 
 def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,

@@ -337,6 +337,18 @@ def test_constants_closed_form():
     assert lemma6_constant(3, 4) > lemma6_constant(2, 4)
 
 
+def test_constants_at_small_degree_bounds():
+    # D = 1: a ball has at most 2 vertices; D = 0: no edges, so just 1
+    assert lemma6_constant(1, 1) == 4.0
+    assert lemma6_constant(3, 1) == 12.0
+    assert lemma5_constant(1.0, 1) == approx(math.sqrt(2))
+    assert lemma6_constant(1, 0) == 2.0
+    assert lemma5_constant(1.0, 0) == 0.0
+    for constant in (lemma5_constant, lemma6_constant):
+        with pytest.raises(ValueError, match="negative"):
+            constant(1, -1)
+
+
 def test_lemma5_identity_is_exact(z2):
     f = _map("identity", z2)
     src = ball(z2, (0, 0), 3)
