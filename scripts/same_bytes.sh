@@ -17,7 +17,9 @@ root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 git -C "$root" archive "$1" src | tar -x -C "$tmp"
-PYTHONPATH="$tmp/src" python3 "$root/scripts/cli_scenarios.py" > "$tmp/ref.txt" &
+# word splitting of REF_ENV is meant: one word per assignment
+# shellcheck disable=SC2086
+env ${REF_ENV:-} PYTHONPATH="$tmp/src" python3 "$root/scripts/cli_scenarios.py" > "$tmp/ref.txt" &
 ref=$!
 work=0
 PYTHONPATH="$root/src" python3 "$root/scripts/cli_scenarios.py" > "$tmp/work.txt" || work=$?

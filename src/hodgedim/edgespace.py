@@ -110,11 +110,12 @@ def inner(u: EdgeFunction, w: EdgeFunction) -> float:
 
     Compensated: the nonzero pointwise products are summed with math.fsum,
     which rounds the exact sum once, so leaving out the exact zeros changes
-    no bit.
+    no bit. fsum reads them through a memoryview, which builds no list of
+    Python floats.
     """
     u._check(w)
     products = u.values * w.values
-    return math.fsum(products[products != 0].tolist())
+    return math.fsum(memoryview(products[products != 0]))
 
 
 vertex_inner = inner

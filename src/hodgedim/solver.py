@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from .edgespace import EdgeFunction, VertexFunction, codifferential, differential, inner
 from .errors import IncompatibleRhsError, SolverFailureError
-from .windows import FiniteWindow, OrientedEdge, adjacency_apply
+from .windows import (FiniteWindow, OrientedEdge, adjacency_apply,
+                      neighbour_tables, table_apply)
 
 
 class LaplacianMode(Enum):
@@ -75,6 +78,62 @@ class _OwnedRhs(VertexFunction):
         self.window, self.values = window, values
 
 
+# Past this many iterations, on windows of at least this many vertices, the
+# PCG loop applies A with `table_apply` instead of the bincounts. Per apply
+# (2 vCPUs): the 20,000-vertex Eden window of the benchmark's `finite_split`
+# takes 171 us with the bincounts and 81 us with the tables, whose build
+# (0.9 ms) is paid back within 10 iterations; z2 r=48 (4,802 vertices)
+# takes 49 against 23 us. The tables win from about 600 vertices on (z2
+# r=16: 10.6 against 6.9 us) and lose below (z2 r=8: 4.4 against 5.3 us).
+# A solve still running at iteration 64 runs on for long, as the Eden
+# window's 764 iterations do; the edge-score solves of trees stop well
+# before it. Nor is a table built that would hold more than 2 m + 2 n cells:
+# on a star it would hold n^2, and on a tree it pays least.
+_TABLE_AFTER_ITERATIONS = 64
+_TABLE_MIN_VERTICES = 4096
+# OpenBLAS splits no dot product of this many entries or fewer
+_PIN_MIN_VERTICES = 10_000
+
+
+@cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    on a build without that library or its symbols. Imports ctypes, so it
+    runs on the first solve that needs it and not at import."""
+    import ctypes
+    import glob
+    import os
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        return (lib.scipy_openblas_get_num_threads64_,
+                lib.scipy_openblas_set_num_threads64_)
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
+@contextmanager
+def _one_blas_thread(n_vertices: int):
+    """Runs its block with OpenBLAS on one thread, and then restores the
+    caller's count, when n_vertices is past `_PIN_MIN_VERTICES`. A dot that
+    OpenBLAS splits across threads rounds differently: with the pin, the
+    solve's bits do not depend on the thread count. Where numpy's BLAS has
+    no such call, the block runs as it is."""
+    pinned = n_vertices > _PIN_MIN_VERTICES
+    calls = _openblas_thread_calls() if pinned else None
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
                     mode: LaplacianMode, tol: float = 1e-10,
                     max_iterations: int | None = None):
@@ -88,10 +147,19 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
 
     The loop keeps five n-vectors (x, r, z, p, Ap) and one edge buffer. Its
     residual r starts as one copy of rhs's values, which are left as they
-    are, or as the values themselves when rhs is an `_OwnedRhs`.
+    are, or as the values themselves when rhs is an `_OwnedRhs`. A long
+    solve on a large window switches to `table_apply`, with the same bits:
+    its tables and one more n-vector then take the edge buffer's place. On
+    a large window the dots run on one OpenBLAS thread (`_one_blas_thread`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    with _one_blas_thread(window.n_vertices):
+        return _pcg(window, rhs, mode, tol, max_iterations)
+
+
+def _pcg(window: FiniteWindow, rhs: VertexFunction, mode: LaplacianMode,
+         tol: float, max_iterations: int | None):
     r = rhs.values if type(rhs) is _OwnedRhs else rhs.values.copy()
     n = window.n_vertices
     deg = _mode_degrees(window, mode)
@@ -116,7 +184,9 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     inv_deg = 1.0 / deg  # connected window with an edge: every degree >= 1
     x = np.zeros(n)
     z = r * inv_deg
-    p = z.copy()
+    padded = np.zeros(n + 1)  # p, then the 0.0 that `table_apply` reads
+    p = padded[:n]
+    p[:] = z
     rz = float(np.dot(r, z))
     relres = math.sqrt(float(np.dot(r, r))) / bnorm
     # Work buffers, written in place by every iteration: fresh temporaries of
@@ -126,12 +196,25 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     # textbook loop. `tmp` (z's buffer: z is dead from the update of p until
     # it is recomputed) holds A p, then alpha p, then alpha ap. `ap` and the
     # apply's gathered edge values share one buffer: ap is dead from its
-    # last read until it is recomputed from the apply's result.
+    # last read until it is recomputed from the apply's result. At the
+    # switch to the tables, that buffer gives way to one of two n-vectors:
+    # ap, then `table_apply`'s down half, and its gathered values.
     work = np.empty(max(n, window.n_edges))
     ap, gathered, tmp = work[:n], work[:window.n_edges], z
+    switch_at = _TABLE_AFTER_ITERATIONS if n >= _TABLE_MIN_VERTICES else -1
+    tables = None
     iterations = 0
     while relres > tol and iterations < max_iterations:
-        adjacency_apply(window, p, out=tmp, gathered=gathered)
+        if iterations == switch_at:
+            tables = neighbour_tables(window, 2 * (window.n_edges + n))
+            if tables is not None:
+                del work, ap, gathered  # freed before its successor is made
+                work = np.empty(2 * n)
+                ap = work[:n]
+        if tables is None:
+            adjacency_apply(window, p, out=tmp, gathered=gathered)
+        else:
+            table_apply(tables, padded, tmp, work[:n], work[n:2 * n])
         np.subtract(np.multiply(deg, p, out=ap), tmp, out=ap)  # deg p - A p
         alpha = rz / float(np.dot(p, ap))
         x += np.multiply(alpha, p, out=tmp)

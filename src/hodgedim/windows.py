@@ -280,6 +280,55 @@ def adjacency_apply(window: FiniteWindow, x: np.ndarray, out=None,
     return out
 
 
+def neighbour_tables(window: FiniteWindow, max_cells: int):
+    """The padded index tables of `table_apply`, (up, down), or None where
+    they would hold more than `max_cells` cells.
+
+    Column i of `up` lists vertex i's neighbours above it, and column i of
+    `down` those below it, each in edge order; a table has as many rows as
+    the most such neighbours of any vertex (n - 1 above a star's centre).
+    Missing entries hold n, the index of the 0.0 that pads the applied
+    vector."""
+    n, t, h = window.n_vertices, window.edge_tails, window.edge_heads
+    up_deg, down_deg = np.bincount(t, minlength=n), np.bincount(h, minlength=n)
+    if n * (int(up_deg.max()) + int(down_deg.max())) > max_cells:
+        return None
+    tables = []
+    # `order` groups the edges by the vertex whose column they fill, in edge
+    # order; the up table needs none, since the tails are sorted
+    for ends, deg, order in ((h, up_deg, None),
+                             (t, down_deg, np.argsort(h, kind="stable"))):
+        table = np.full((int(deg.max()), n), n)
+        start = np.cumsum(deg) - deg
+        for k, row in enumerate(table):  # n-vector temporaries only
+            has = deg > k
+            edges = start[has] + k
+            row[has] = ends[edges if order is None else order[edges]]
+        tables.append(table)
+    return tuple(tables)
+
+
+def table_apply(tables, padded: np.ndarray, out: np.ndarray,
+                down: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+    """A x into `out`, with the same bits as `adjacency_apply`, from the
+    `neighbour_tables`: `padded` is x followed by one 0.0, and `down` and
+    `gathered` are n-vector buffers.
+
+    Each half sums the same terms in the same order as one of the apply's
+    bincounts, and the halves are added last, as there. The bincounts start
+    from +0.0 and these sums from their first term, which differs only
+    where every term is -0.0: the sum is then -0.0, not +0.0. Adding +0.0,
+    as a padding term or the last += 0.0 does, turns just that -0.0 into
+    +0.0 and changes no other sum."""
+    for table, acc in zip(tables, (out, down)):
+        padded.take(table[0], out=acc, mode="clip")
+        for row in table[1:]:
+            acc += padded.take(row, out=gathered, mode="clip")
+    out += down
+    out += 0.0
+    return out
+
+
 def _search(graph: IdGraph, sources: list, depth: int,
             targets: Optional[list]) -> dict:
     """The package's one distance BFS, on ids: id -> distance, in discovery

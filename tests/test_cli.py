@@ -486,6 +486,21 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.startswith("family,edge_tail,edge_head,R,")
 
 
+def test_scores_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`scores` on a tree3 edge ball of 32,766 vertices, whose dots OpenBLAS
+    would split across its threads, prints the same bytes at one OpenBLAS
+    thread and at two: the solve runs its dots on one."""
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgedim", "scores", "--family", "tree3",
+             "--radii", "14"], capture_output=True, timeout=120, cwd=tmp_path,
+            env={**source_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_commands_leave_numpy_ma_unimported(tmp_path):
     """A bare `np.unique` imports `numpy.ma` on its first call, which costs
     a process 12 to 18 ms; the window, score and qi paths call none."""

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from hodgedim import (EdgeFunction, IncompatibleRhsError, LaplacianMode,
-                      SolverFailureError, VertexFunction, ball, codifferential,
-                      cycle_rank, differential, edge_ball, edge_indicator,
-                      family_edge, hodge_decompose_finite, induced_window,
-                      inner, is_flow, laplacian_apply, make_family,
-                      OrientedEdge, origin_edge, project_star,
+from hodgedim import solver
+from hodgedim import (EdgeFunction, FiniteWindow, IncompatibleRhsError,
+                      LaplacianMode, SolverFailureError, VertexFunction, ball,
+                      codifferential, cycle_rank, differential, edge_ball,
+                      edge_indicator, family_edge, hodge_decompose_finite,
+                      induced_window, inner, is_flow, laplacian_apply,
+                      make_family, OrientedEdge, origin_edge, project_star,
                       solve_laplacian)
+from hodgedim.windows import neighbour_tables
 from conftest import (cycle_space_dim, dense_star_projection, incidence,
                       random_window)
 
@@ -224,8 +227,9 @@ def _reference_pcg(window, rhs, mode, tol=TOL):
 
 
 def _pcg_cases():
-    for name, r in (("z2", 20), ("tree3", 12), ("comb", 8), ("z3", 5),
-                    ("ladder", 12), ("diag_lattice", 8)):
+    # z2 r=48 (4,802 vertices) runs past the switch to `table_apply`
+    for name, r in (("z2", 20), ("z2", 48), ("tree3", 12), ("comb", 8),
+                    ("z3", 5), ("ladder", 12), ("diag_lattice", 8)):
         fam = make_family(name)
         e = origin_edge(fam)
         w = edge_ball(fam, e, r)
@@ -241,18 +245,30 @@ def _pcg_cases():
 
 
 @pytest.mark.parametrize("mode", list(LaplacianMode))
-def test_pcg_is_bitwise_the_allocating_loop(mode):
+def test_pcg_is_bitwise_the_allocating_loop(mode, monkeypatch):
     """The buffered loop makes the same floating-point operations on the
     same operands as the loop it replaced: equal iterates, iteration counts
     and residuals, bit for bit. The reference keeps a degree per vertex, a
     temporary of its own beside z and np.linalg.norm; the balls of
-    constant ambient degree and the 4-cycle take the one-element degree."""
+    constant ambient degree and the 4-cycle take the one-element degree.
+    The reference keeps the bincount apply on every iteration, and runs its
+    dots on the solver's BLAS threads: one, past 10,000 vertices. The loop
+    switches to `table_apply` where it would (z2 r=48), and again on every
+    window before its first and before its third iteration."""
     for name, w, rhs in _pcg_cases():
-        v, rep = solve_laplacian(w, VertexFunction(w, rhs), mode)
-        x, iterations, relres = _reference_pcg(w, rhs, mode)
-        assert np.array_equal(v.values, x), name
-        assert (rep.iterations, rep.residual) == (iterations, relres), name
-        assert v.values.tobytes() == x.tobytes(), name
+        with solver._one_blas_thread(w.n_vertices):
+            x, iterations, relres = _reference_pcg(w, rhs, mode)
+        for switch_at, min_vertices in (
+                (solver._TABLE_AFTER_ITERATIONS, solver._TABLE_MIN_VERTICES),
+                (0, 1), (2, 1)):
+            monkeypatch.setattr(solver, "_TABLE_AFTER_ITERATIONS", switch_at)
+            monkeypatch.setattr(solver, "_TABLE_MIN_VERTICES", min_vertices)
+            v, rep = solve_laplacian(w, VertexFunction(w, rhs), mode)
+            assert np.array_equal(v.values, x), (name, switch_at)
+            assert (rep.iterations, rep.residual) == (iterations, relres), (
+                name, switch_at)
+            assert v.values.tobytes() == x.tobytes(), (name, switch_at)
+        monkeypatch.undo()
 
 
 def test_dot_norm_is_numpys_norm_bitwise():
@@ -265,6 +281,101 @@ def test_dot_norm_is_numpys_norm_bitwise():
             r = scale * rng.normal(size=n)
             assert (math.sqrt(float(np.dot(r, r))).hex()
                     == float(np.linalg.norm(r)).hex()), (n, scale)
+
+
+def test_a_star_keeps_the_bincount_apply(monkeypatch):
+    """On a star of 3,000 vertices, whose centre has 2,999 neighbours above
+    it, a solve forced to switch at its first iteration builds no table: it
+    allocates far less than the 2,999 x 3,000 one."""
+    n = 3000
+    star = FiniteWindow([(i,) for i in range(n)], np.zeros(n - 1, np.int64),
+                        np.arange(1, n), [n - 1] + [1] * (n - 1))
+    built = []
+
+    def spy(*args):
+        built.append(neighbour_tables(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_TABLE_MIN_VERTICES", 1)
+    monkeypatch.setattr(solver, "_TABLE_AFTER_ITERATIONS", 0)
+    monkeypatch.setattr(solver, "neighbour_tables", spy)
+    rhs = np.full(n, -1.0)
+    rhs[0] = n - 1.0
+    tracemalloc.start()
+    try:
+        _, report = solve_laplacian(star, VertexFunction(star, rhs),
+                                    LaplacianMode.FREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [None] and report.converged
+    assert peak < 64 * 8 * n
+
+
+def _pinned_case():
+    """An edge ball of 10,658 vertices, past `_PIN_MIN_VERTICES`."""
+    fam = make_family("z2")
+    w = edge_ball(fam, origin_edge(fam), 72)
+    return w, codifferential(edge_indicator(w, origin_edge(fam))).values
+
+
+@pytest.fixture
+def openblas():
+    """The (get, set) thread-count calls, with the count restored after."""
+    calls = solver._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count calls")
+    threads = calls[0]()
+    yield calls
+    calls[1](threads)
+
+
+def test_a_large_solve_runs_on_one_blas_thread_and_restores_the_count(
+        openblas, monkeypatch):
+    """Past 10,000 vertices the loop runs at one thread, and the caller's
+    count is back after the solve, also when it raises; a small window's
+    solve runs at the caller's count."""
+    get_threads, set_threads = openblas
+    set_threads(2)
+    caller = get_threads()
+    seen = []
+    pcg = solver._pcg
+
+    def spy(*args):
+        seen.append(get_threads())
+        return pcg(*args)
+
+    monkeypatch.setattr(solver, "_pcg", spy)
+    w, rhs = _pinned_case()
+    solve_laplacian(w, VertexFunction(w, rhs), LaplacianMode.FREE)
+    assert get_threads() == caller
+    with pytest.raises(SolverFailureError):
+        solve_laplacian(w, VertexFunction(w, rhs), LaplacianMode.FREE,
+                        max_iterations=1)
+    assert get_threads() == caller
+    small = edge_ball(make_family("z2"), origin_edge(make_family("z2")), 4)
+    project_star(small, origin_edge(make_family("z2")), LaplacianMode.FREE)
+    assert seen == [1, 1, caller]
+
+
+def test_a_blas_without_thread_calls_leaves_the_solve_unpinned(monkeypatch):
+    """Where numpy's BLAS library has no thread-count symbols, the loader
+    finds none, and a solve it would pin runs as before the pin: here one on
+    a small window, with the pin's size bound lowered to 0."""
+    import ctypes
+    solver._openblas_thread_calls.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(solver, "_PIN_MIN_VERTICES", 0)
+    try:
+        w = edge_ball(make_family("z2"), origin_edge(make_family("z2")), 6)
+        rhs = codifferential(edge_indicator(w, origin_edge(make_family("z2"))))
+        v, rep = solve_laplacian(w, rhs, LaplacianMode.EMBEDDED)
+        assert solver._openblas_thread_calls() is None
+        assert rep.converged
+        assert laplacian_apply(w, v, LaplacianMode.EMBEDDED).values == approx(
+            rhs.values, abs=1e-8)
+    finally:
+        solver._openblas_thread_calls.cache_clear()
 
 
 def _score_windows():

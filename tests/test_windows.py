@@ -22,6 +22,7 @@ from hodgedim import (BUILTIN_FAMILY_NAMES, FiniteWindow, InvalidWindowError,
 from hodgedim import families, windows
 from hodgedim.families import IdGraph
 from hodgedim.quasi import lex_min_path
+from conftest import random_window
 
 
 def test_z1_ball_counts(z1):
@@ -344,6 +345,36 @@ def test_degrees(z2):
     j = w.vertex_index((2, 0))
     assert w.internal_degree[j] == 1
     assert w.boundary[j] and not w.boundary[i]
+
+
+def _table_windows():
+    """Balls of every built-in family, an Eden-grown z2 window, and a path
+    0-1, 0-3, 2-3 whose vertex 1 has no neighbour above it and vertex 2
+    none below it."""
+    for name in BUILTIN_FAMILY_NAMES:
+        fam = make_family(name)
+        yield name, ball(fam, fam.origin, 5)
+    rng = np.random.default_rng(3)
+    yield "eden", random_window(make_family("z2"), rng, 3000)
+    yield "path", FiniteWindow([(0,), (1,), (2,), (3,)], [0, 0, 2], [1, 3, 3],
+                               [2, 2, 2, 2])
+
+
+def test_table_apply_is_the_bincount_apply():
+    """`table_apply` gives `adjacency_apply`'s bits on x with -0.0 entries,
+    on x of -0.0 alone, and on x of mixed signed zeros."""
+    rng = np.random.default_rng(17)
+    for name, w in _table_windows():
+        n = w.n_vertices
+        tables = windows.neighbour_tables(w, n * n)
+        sprinkled = rng.normal(size=n)
+        sprinkled[rng.random(n) < 0.1] = -0.0
+        for x in (sprinkled, np.full(n, -0.0),
+                  np.where(rng.random(n) < 0.5, 0.0, -0.0)):
+            got = windows.table_apply(tables, np.append(x, 0.0), np.empty(n),
+                                      np.empty(n), np.empty(n))
+            want = windows.adjacency_apply(w, x)
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_edge_lookup_signs(z2):
