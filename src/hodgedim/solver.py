@@ -78,18 +78,18 @@ class _OwnedRhs(VertexFunction):
         self.window, self.values = window, values
 
 
-# Past this many iterations, on windows of at least this many vertices, the
-# PCG loop applies A with `table_apply` instead of the bincounts. Per apply
-# (2 vCPUs): the 20,000-vertex Eden window of the benchmark's `finite_split`
-# takes 171 us with the bincounts and 81 us with the tables, whose build
-# (0.9 ms) is paid back within 10 iterations; z2 r=48 (4,802 vertices)
-# takes 49 against 23 us. The tables win from about 600 vertices on (z2
-# r=16: 10.6 against 6.9 us) and lose below (z2 r=8: 4.4 against 5.3 us).
-# A solve still running at iteration 64 runs on for long, as the Eden
-# window's 764 iterations do; the edge-score solves of trees stop well
-# before it. Nor is a table built that would hold more than 2 m + 2 n cells:
-# on a star it would hold n^2, and on a tree it pays least.
-_TABLE_AFTER_ITERATIONS = 64
+# On windows of at least this many vertices, the PCG loop applies A with
+# `table_apply` from its first iteration. Per apply (2 vCPUs): the
+# 20,000-vertex Eden window of the benchmark's `finite_split` takes 171 us
+# with the bincounts and 81 us with the tables, whose build (0.9 ms) is
+# paid back within 10 iterations; z2 r=48 (4,802 vertices) takes 49 against
+# 23 us. The tables win from about 600 vertices on (z2 r=16: 10.6 against
+# 6.9 us) and lose below (z2 r=8: 4.4 against 5.3 us); on the z2 balls of
+# 162 to 1,250 vertices that `lattice_window_dim` scores, tables for every
+# solve moved its time by less than its noise: there they buy nothing. Nor
+# is a table built that would hold more than 2 m + 2 n cells: n^2 on a
+# star, and 4 n or 5 n about a tree edge, whose root has d children and
+# whose solves are short.
 _TABLE_MIN_VERTICES = 4096
 # OpenBLAS splits no dot product of this many entries or fewer
 _PIN_MIN_VERTICES = 10_000
@@ -147,10 +147,11 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
 
     The loop keeps five n-vectors (x, r, z, p, Ap) and one edge buffer. Its
     residual r starts as one copy of rhs's values, which are left as they
-    are, or as the values themselves when rhs is an `_OwnedRhs`. A long
-    solve on a large window switches to `table_apply`, with the same bits:
-    its tables and one more n-vector then take the edge buffer's place. On
-    a large window the dots run on one OpenBLAS thread (`_one_blas_thread`).
+    are, or as the values themselves when rhs is an `_OwnedRhs`. On a window
+    of `_TABLE_MIN_VERTICES` or more the loop applies A with `table_apply`,
+    with the same bits, where its tables fit in 2 m + 2 n cells; they and
+    one more n-vector then take the edge buffer's place. On a large window
+    the dots run on one OpenBLAS thread (`_one_blas_thread`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
@@ -194,27 +195,22 @@ def _pcg(window: FiniteWindow, rhs: VertexFunction, mode: LaplacianMode,
     # adjacency apply's bincount sums are still allocated (see
     # `adjacency_apply`). The operations and their operands are those of the
     # textbook loop. `tmp` (z's buffer: z is dead from the update of p until
-    # it is recomputed) holds A p, then alpha p, then alpha ap. `ap` and the
-    # apply's gathered edge values share one buffer: ap is dead from its
-    # last read until it is recomputed from the apply's result. At the
-    # switch to the tables, that buffer gives way to one of two n-vectors:
-    # ap, then `table_apply`'s down half, and its gathered values.
-    work = np.empty(max(n, window.n_edges))
-    ap, gathered, tmp = work[:n], work[:window.n_edges], z
-    switch_at = _TABLE_AFTER_ITERATIONS if n >= _TABLE_MIN_VERTICES else -1
-    tables = None
+    # it is recomputed) holds A p, then alpha p, then alpha ap. `ap` shares
+    # one buffer with the apply's own, since ap is dead from its last read
+    # until it is recomputed from the apply's result: the bincounts' gathered
+    # edge values, or the tables' down half (ap's n floats) and their
+    # gathered values (n more).
+    tables = (neighbour_tables(window, 2 * (window.n_edges + n))
+              if n >= _TABLE_MIN_VERTICES else None)
+    work = np.empty(max(n, window.n_edges) if tables is None else 2 * n)
+    ap, tmp = work[:n], z
+    gathered = work[:window.n_edges] if tables is None else work[n:]
     iterations = 0
     while relres > tol and iterations < max_iterations:
-        if iterations == switch_at:
-            tables = neighbour_tables(window, 2 * (window.n_edges + n))
-            if tables is not None:
-                del work, ap, gathered  # freed before its successor is made
-                work = np.empty(2 * n)
-                ap = work[:n]
         if tables is None:
             adjacency_apply(window, p, out=tmp, gathered=gathered)
         else:
-            table_apply(tables, padded, tmp, work[:n], work[n:2 * n])
+            table_apply(tables, padded, tmp, ap, gathered)
         np.subtract(np.multiply(deg, p, out=ap), tmp, out=ap)  # deg p - A p
         alpha = rz / float(np.dot(p, ap))
         x += np.multiply(alpha, p, out=tmp)

@@ -11,18 +11,20 @@ scipy.sparse and solves them by sparse LU, on balls of 10^3 to 10^5
 vertices, which the dense oracle of conftest cannot reach. The second
 samples spanning trees by Wilson's algorithm (random walks, no linear
 algebra) and checks the scores to within 5 binomial standard deviations.
-Only the window itself comes from the package.
+Only the window itself comes from the package. The third, for the ladder's
+rung, is exact: series and parallel rules in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hodgedim import OrientedEdge, edge_ball, make_family
+from hodgedim import OrientedEdge, edge_ball, make_family, score_report
 from hodgedim.dimension import _edge_scores
 
 try:
@@ -156,3 +158,30 @@ def test_scores_match_wilson_sampling(name, edge, r):
         else:
             sigma = math.sqrt(score * (1.0 - score) / WALKS)
             assert abs(est - score) <= 5 * sigma, (wired, est, score)
+
+
+def _ladder_rung_resistance(r: int, wired: bool) -> Fraction:
+    """The exact resistance across the rung (0, 0)-(0, 1) in its radius-r
+    ball, columns -r..r of the ladder. S is the resistance between the rails
+    at a column c of one half, through columns c+1 on: the two rail edges
+    in series with rung c+1, which is in parallel with the next S. At column
+    r the wired exterior joins the rails through two edges (S = 2); free,
+    nothing lies past column r, so the first step gives 2 + 1. The two
+    halves (S/2) are in parallel with the rung itself."""
+    s = Fraction(2) if wired else Fraction(3)
+    for _ in range(r if wired else r - 1):
+        s = 2 + s / (1 + s)
+    return (s / 2) / (1 + s / 2)
+
+
+def test_ladder_rung_scores_are_the_exact_resistances():
+    """star is the wired and 1 - diamond the free resistance across the
+    rung, to 2 ulp, up to r = 1100 (4,402 vertices, past the size from
+    which the solve applies its neighbour tables)."""
+    radii = (1, 2, 5, 20, 80, 300, 1100)
+    rep = score_report(make_family("ladder"), OrientedEdge((0, 0), (0, 1)),
+                       radii)
+    for r, star, diamond in zip(radii, rep.star, rep.diamond):
+        for got, wired in ((star, True), (1.0 - diamond, False)):
+            exact = float(_ladder_rung_resistance(r, wired))
+            assert abs(got - exact) <= 2 * math.ulp(exact), (r, wired, got)

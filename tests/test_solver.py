@@ -227,9 +227,11 @@ def _reference_pcg(window, rhs, mode, tol=TOL):
 
 
 def _pcg_cases():
-    # z2 r=48 (4,802 vertices) runs past the switch to `table_apply`
-    for name, r in (("z2", 20), ("z2", 48), ("tree3", 12), ("comb", 8),
-                    ("z3", 5), ("ladder", 12), ("diag_lattice", 8)):
+    # z2 r=48 (4,802 vertices) and z3 r=16 (6,562) run on `table_apply`;
+    # tree3 r=12 is past `_TABLE_MIN_VERTICES`, but its tables would not fit
+    for name, r in (("z2", 20), ("z2", 48), ("z3", 16), ("tree3", 12),
+                    ("comb", 8), ("z3", 5), ("ladder", 12),
+                    ("diag_lattice", 8)):
         fam = make_family(name)
         e = origin_edge(fam)
         w = edge_ball(fam, e, r)
@@ -253,21 +255,19 @@ def test_pcg_is_bitwise_the_allocating_loop(mode, monkeypatch):
     constant ambient degree and the 4-cycle take the one-element degree.
     The reference keeps the bincount apply on every iteration, and runs its
     dots on the solver's BLAS threads: one, past 10,000 vertices. The loop
-    switches to `table_apply` where it would (z2 r=48), and again on every
-    window before its first and before its third iteration."""
+    applies `table_apply` where it would (z2 r=48 and z3 r=16), and again on
+    every window whose tables fit, with tables from windows of one vertex
+    on."""
     for name, w, rhs in _pcg_cases():
         with solver._one_blas_thread(w.n_vertices):
             x, iterations, relres = _reference_pcg(w, rhs, mode)
-        for switch_at, min_vertices in (
-                (solver._TABLE_AFTER_ITERATIONS, solver._TABLE_MIN_VERTICES),
-                (0, 1), (2, 1)):
-            monkeypatch.setattr(solver, "_TABLE_AFTER_ITERATIONS", switch_at)
+        for min_vertices in (solver._TABLE_MIN_VERTICES, 1):
             monkeypatch.setattr(solver, "_TABLE_MIN_VERTICES", min_vertices)
             v, rep = solve_laplacian(w, VertexFunction(w, rhs), mode)
-            assert np.array_equal(v.values, x), (name, switch_at)
+            assert np.array_equal(v.values, x), (name, min_vertices)
             assert (rep.iterations, rep.residual) == (iterations, relres), (
-                name, switch_at)
-            assert v.values.tobytes() == x.tobytes(), (name, switch_at)
+                name, min_vertices)
+            assert v.values.tobytes() == x.tobytes(), (name, min_vertices)
         monkeypatch.undo()
 
 
@@ -285,20 +285,27 @@ def test_dot_norm_is_numpys_norm_bitwise():
 
 def test_a_star_keeps_the_bincount_apply(monkeypatch):
     """On a star of 3,000 vertices, whose centre has 2,999 neighbours above
-    it, a solve forced to switch at its first iteration builds no table: it
-    allocates far less than the 2,999 x 3,000 one."""
-    n = 3000
-    star = FiniteWindow([(i,) for i in range(n)], np.zeros(n - 1, np.int64),
-                        np.arange(1, n), [n - 1] + [1] * (n - 1))
+    it, a solve allowed tables at any size builds none: it allocates far
+    less than the 2,999 x 3,000 one. Nor does a tree3 edge ball past
+    `_TABLE_MIN_VERTICES` get tables: its root's three children would make
+    them hold 4 n cells, past the 4 n - 2 of 2 m + 2 n."""
     built = []
 
     def spy(*args):
         built.append(neighbour_tables(*args))
         return built[-1]
 
-    monkeypatch.setattr(solver, "_TABLE_MIN_VERTICES", 1)
-    monkeypatch.setattr(solver, "_TABLE_AFTER_ITERATIONS", 0)
     monkeypatch.setattr(solver, "neighbour_tables", spy)
+    fam = make_family("tree3")
+    w = edge_ball(fam, origin_edge(fam), 11)
+    assert w.n_vertices >= solver._TABLE_MIN_VERTICES
+    project_star(w, origin_edge(fam), LaplacianMode.EMBEDDED)
+    assert built == [None]
+
+    n = 3000
+    star = FiniteWindow([(i,) for i in range(n)], np.zeros(n - 1, np.int64),
+                        np.arange(1, n), [n - 1] + [1] * (n - 1))
+    monkeypatch.setattr(solver, "_TABLE_MIN_VERTICES", 1)
     rhs = np.full(n, -1.0)
     rhs[0] = n - 1.0
     tracemalloc.start()
@@ -308,7 +315,7 @@ def test_a_star_keeps_the_bincount_apply(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built == [None] and report.converged
+    assert built == [None, None] and report.converged
     assert peak < 64 * 8 * n
 
 
