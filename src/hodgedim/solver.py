@@ -88,8 +88,8 @@ class _OwnedRhs(VertexFunction):
 # 162 to 1,250 vertices that `lattice_window_dim` scores, tables for every
 # solve moved its time by less than its noise: there they buy nothing. Nor
 # is a table built that would hold more than 2 m + 2 n cells: n^2 on a
-# star, and 4 n or 5 n about a tree edge, whose root has d children and
-# whose solves are short.
+# star, and (d + 1) n on a tree ball that holds the root, with its d
+# children, so the short solves of tree edge scores keep the bincounts.
 _TABLE_MIN_VERTICES = 4096
 # OpenBLAS splits no dot product of this many entries or fewer
 _PIN_MIN_VERTICES = 10_000
