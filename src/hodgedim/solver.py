@@ -86,13 +86,8 @@ class _OwnedRhs(VertexFunction):
 # 23 us. The tables win from about 600 vertices on (z2 r=16: 10.6 against
 # 6.9 us) and lose below (z2 r=8: 4.4 against 5.3 us); on the z2 balls of
 # 162 to 1,250 vertices that `lattice_window_dim` scores, tables for every
-# solve moved its time by less than its noise: there they buy nothing. Nor
-# is a table built that would hold more than 2 m + 2 n cells: n^2 on a
-# star, and (d + 1) n on a tree ball that holds the root, with its d
-# children, so the short solves of tree edge scores keep the bincounts.
+# solve moved its time by less than its noise: there they buy nothing.
 _TABLE_MIN_VERTICES = 4096
-# OpenBLAS splits no dot product of this many entries or fewer
-_PIN_MIN_VERTICES = 10_000
 
 
 @cache
@@ -114,14 +109,14 @@ def _openblas_thread_calls():
 
 
 @contextmanager
-def _one_blas_thread(n_vertices: int):
+def _one_blas_thread():
     """Runs its block with OpenBLAS on one thread, and then restores the
-    caller's count, when n_vertices is past `_PIN_MIN_VERTICES`. A dot that
-    OpenBLAS splits across threads rounds differently: with the pin, the
-    solve's bits do not depend on the thread count. Where numpy's BLAS has
-    no such call, the block runs as it is."""
-    pinned = n_vertices > _PIN_MIN_VERTICES
-    calls = _openblas_thread_calls() if pinned else None
+    caller's count. A dot that OpenBLAS splits across threads rounds
+    differently: with the pin, the solve's bits do not depend on the thread
+    count. The count is process-wide: the package starts no thread, but
+    solves run at once on a caller's threads can leave its count at 1.
+    Where numpy's BLAS has no such call, the block runs as it is."""
+    calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
@@ -149,13 +144,14 @@ def solve_laplacian(window: FiniteWindow, rhs: VertexFunction,
     residual r starts as one copy of rhs's values, which are left as they
     are, or as the values themselves when rhs is an `_OwnedRhs`. On a window
     of `_TABLE_MIN_VERTICES` or more the loop applies A with `table_apply`,
-    with the same bits, where its tables fit in 2 m + 2 n cells; they and
-    one more n-vector then take the edge buffer's place. On a large window
-    the dots run on one OpenBLAS thread (`_one_blas_thread`).
+    with the same bits, where `neighbour_tables` builds its tables; they and
+    one more n-vector then take the edge buffer's place. The solve runs on
+    one OpenBLAS thread (`_one_blas_thread`), a process-wide setting, which
+    it restores when it returns.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    with _one_blas_thread(window.n_vertices):
+    with _one_blas_thread():
         return _pcg(window, rhs, mode, tol, max_iterations)
 
 
@@ -200,8 +196,7 @@ def _pcg(window: FiniteWindow, rhs: VertexFunction, mode: LaplacianMode,
     # until it is recomputed from the apply's result: the bincounts' gathered
     # edge values, or the tables' down half (ap's n floats) and their
     # gathered values (n more).
-    tables = (neighbour_tables(window, 2 * (window.n_edges + n))
-              if n >= _TABLE_MIN_VERTICES else None)
+    tables = neighbour_tables(window) if n >= _TABLE_MIN_VERTICES else None
     work = np.empty(max(n, window.n_edges) if tables is None else 2 * n)
     ap, tmp = work[:n], z
     gathered = work[:window.n_edges] if tables is None else work[n:]

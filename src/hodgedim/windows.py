@@ -280,9 +280,11 @@ def adjacency_apply(window: FiniteWindow, x: np.ndarray, out=None,
     return out
 
 
-def neighbour_tables(window: FiniteWindow, max_cells: int):
+def neighbour_tables(window: FiniteWindow):
     """The padded index tables of `table_apply`, (up, down), or None where
-    they would hold more than `max_cells` cells.
+    they would hold more than 2 m + 2 n cells: n^2 on a star, and (d + 1) n
+    on a tree ball that holds the root, with its d children, so the short
+    solves of tree edge scores keep the bincounts.
 
     Column i of `up` lists vertex i's neighbours above it, and column i of
     `down` those below it, each in edge order; a table has as many rows as
@@ -291,7 +293,7 @@ def neighbour_tables(window: FiniteWindow, max_cells: int):
     vector."""
     n, t, h = window.n_vertices, window.edge_tails, window.edge_heads
     up_deg, down_deg = np.bincount(t, minlength=n), np.bincount(h, minlength=n)
-    if n * (int(up_deg.max()) + int(down_deg.max())) > max_cells:
+    if n * (int(up_deg.max()) + int(down_deg.max())) > 2 * (len(t) + n):
         return None
     tables = []
     # `order` groups the edges by the vertex whose column they fill, in edge

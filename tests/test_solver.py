@@ -254,12 +254,12 @@ def test_pcg_is_bitwise_the_allocating_loop(mode, monkeypatch):
     temporary of its own beside z and np.linalg.norm; the balls of
     constant ambient degree and the 4-cycle take the one-element degree.
     The reference keeps the bincount apply on every iteration, and runs its
-    dots on the solver's BLAS threads: one, past 10,000 vertices. The loop
+    dots on the solver's one BLAS thread. The loop
     applies `table_apply` where it would (z2 r=48 and z3 r=16), and again on
     every window whose tables fit, with tables from windows of one vertex
     on."""
     for name, w, rhs in _pcg_cases():
-        with solver._one_blas_thread(w.n_vertices):
+        with solver._one_blas_thread():
             x, iterations, relres = _reference_pcg(w, rhs, mode)
         for min_vertices in (solver._TABLE_MIN_VERTICES, 1):
             monkeypatch.setattr(solver, "_TABLE_MIN_VERTICES", min_vertices)
@@ -320,7 +320,8 @@ def test_a_star_keeps_the_bincount_apply(monkeypatch):
 
 
 def _pinned_case():
-    """An edge ball of 10,658 vertices, past `_PIN_MIN_VERTICES`."""
+    """An edge ball of 10,658 vertices, past the 10,000 entries above which
+    OpenBLAS splits a dot across its threads."""
     fam = make_family("z2")
     w = edge_ball(fam, origin_edge(fam), 72)
     return w, codifferential(edge_indicator(w, origin_edge(fam))).values
@@ -337,11 +338,11 @@ def openblas():
     calls[1](threads)
 
 
-def test_a_large_solve_runs_on_one_blas_thread_and_restores_the_count(
+def test_every_solve_runs_on_one_blas_thread_and_restores_the_count(
         openblas, monkeypatch):
-    """Past 10,000 vertices the loop runs at one thread, and the caller's
-    count is back after the solve, also when it raises; a small window's
-    solve runs at the caller's count."""
+    """The loop runs at one thread, on a window past 10,000 vertices as on
+    a small one, and the caller's count is back after the solve, also when
+    it raises."""
     get_threads, set_threads = openblas
     set_threads(2)
     caller = get_threads()
@@ -362,17 +363,16 @@ def test_a_large_solve_runs_on_one_blas_thread_and_restores_the_count(
     assert get_threads() == caller
     small = edge_ball(make_family("z2"), origin_edge(make_family("z2")), 4)
     project_star(small, origin_edge(make_family("z2")), LaplacianMode.FREE)
-    assert seen == [1, 1, caller]
+    assert get_threads() == caller
+    assert seen == [1, 1, 1]
 
 
 def test_a_blas_without_thread_calls_leaves_the_solve_unpinned(monkeypatch):
     """Where numpy's BLAS library has no thread-count symbols, the loader
-    finds none, and a solve it would pin runs as before the pin: here one on
-    a small window, with the pin's size bound lowered to 0."""
+    finds none, and a solve runs as it would without the pin."""
     import ctypes
     solver._openblas_thread_calls.cache_clear()
     monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-    monkeypatch.setattr(solver, "_PIN_MIN_VERTICES", 0)
     try:
         w = edge_ball(make_family("z2"), origin_edge(make_family("z2")), 6)
         rhs = codifferential(edge_indicator(w, origin_edge(make_family("z2"))))

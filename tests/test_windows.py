@@ -348,25 +348,33 @@ def test_degrees(z2):
 
 
 def _table_windows():
-    """Balls of every built-in family, an Eden-grown z2 window, and a path
-    0-1, 0-3, 2-3 whose vertex 1 has no neighbour above it and vertex 2
-    none below it."""
+    """Balls of every built-in family, a tree3 ball that misses the root, an
+    Eden-grown z2 window, and a window 0-1, 0-3, 2-3, 2-4, 3-5, 4-5 whose
+    vertex 1 has no neighbour above it and vertex 2 none below it (the path
+    0-1, 0-3, 2-3 has them too, but its tables would hold 4 n cells, past
+    2 m + 2 n)."""
     for name in BUILTIN_FAMILY_NAMES:
         fam = make_family(name)
         yield name, ball(fam, fam.origin, 5)
+    yield "tree3 off root", ball(make_family("tree3"), (0, 1, 1, 1, 1, 1), 5)
     rng = np.random.default_rng(3)
     yield "eden", random_window(make_family("z2"), rng, 3000)
-    yield "path", FiniteWindow([(0,), (1,), (2,), (3,)], [0, 0, 2], [1, 3, 3],
-                               [2, 2, 2, 2])
+    yield "gaps", FiniteWindow([(i,) for i in range(6)], [0, 0, 2, 2, 3, 4],
+                               [1, 3, 3, 4, 5, 5], [3] * 6)
 
 
 def test_table_apply_is_the_bincount_apply():
     """`table_apply` gives `adjacency_apply`'s bits on x with -0.0 entries,
-    on x of -0.0 alone, and on x of mixed signed zeros."""
+    on x of -0.0 alone, and on x of mixed signed zeros. The balls about the
+    tree and comb roots get no tables: they would hold more than 2 m + 2 n
+    cells."""
     rng = np.random.default_rng(17)
     for name, w in _table_windows():
         n = w.n_vertices
-        tables = windows.neighbour_tables(w, n * n)
+        tables = windows.neighbour_tables(w)
+        assert (tables is None) == (name in ("tree3", "tree4", "comb")), name
+        if tables is None:
+            continue
         sprinkled = rng.normal(size=n)
         sprinkled[rng.random(n) < 0.1] = -0.0
         for x in (sprinkled, np.full(n, -0.0),
