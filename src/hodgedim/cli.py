@@ -12,9 +12,9 @@ Output is CSV (default) or JSON (--format json, validating against
 schemas/output.schema.json). Identical flags give byte-identical output.
 OpenBLAS splits dot products of over 10,000 entries across its threads,
 which moves the last bits of the star, diamond and residual columns on
-large balls, so a solve that large runs numpy's bundled OpenBLAS on one
-thread. On a numpy build without that library the thread count is left as
-it is, and the bytes hold only under a fixed count. --tol, the relative
+large balls, so every solve runs numpy's bundled OpenBLAS on one thread.
+On a numpy build without that library the thread count is left as it is,
+and the bytes hold only under a fixed count. --tol, the relative
 residual every solve must reach, must lie in (0, 1); folner and qicheck
 solve nothing and ignore it. --jobs must be >= 1 but is passed to nothing:
 hodgedim starts no thread of its own, so it never changes the output.

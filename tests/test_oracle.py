@@ -12,7 +12,9 @@ vertices, which the dense oracle of conftest cannot reach. The second
 samples spanning trees by Wilson's algorithm (random walks, no linear
 algebra) and checks the scores to within 5 binomial standard deviations.
 Only the window itself comes from the package. The third, for the ladder's
-rung, is exact: series and parallel rules in rational arithmetic.
+rung, is exact: series and parallel rules in rational arithmetic. The
+fourth needs no solve at all: Rayleigh monotonicity and Foster's theorem
+bracket the scores at every radius.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodgedim import OrientedEdge, edge_ball, make_family, score_report
+from hodgedim import (OrientedEdge, edge_ball, make_family, origin_edge,
+                      score_report)
 from hodgedim.dimension import _edge_scores
 
 try:
@@ -185,3 +188,38 @@ def test_ladder_rung_scores_are_the_exact_resistances():
         for got, wired in ((star, True), (1.0 - diamond, False)):
             exact = float(_ladder_rung_resistance(r, wired))
             assert abs(got - exact) <= 2 * math.ulp(exact), (r, wired, got)
+
+
+BRACKET_CASES = {
+    "z1-edge-r200": ("z1", 200, False),
+    "z2-edge-r128": ("z2", 128, False),
+    "z3-edge-r24": ("z3", 24, False),
+    "diag_lattice-edge-r64": ("diag_lattice", 64, False),
+    "tree3-edge-r16": ("tree3", 16, False),
+    "tree4-edge-r10": ("tree4", 10, False),
+    "ladder-vertex-r1000": ("ladder", 1000, True),
+    "diag_lattice-vertex-r64": ("diag_lattice", 64, True),
+}
+
+
+@pytest.mark.parametrize("name, r, at_vertex", BRACKET_CASES.values(),
+                         ids=BRACKET_CASES.keys())
+def test_scores_lie_in_the_rayleigh_foster_brackets(name, r, at_vertex):
+    """Wired resistances rise and free ones fall to their limits as r grows
+    (Rayleigh), and on an amenable vertex-transitive graph the two limits
+    agree and sum to 2 over the edges at a vertex (Foster); on the d-regular
+    tree they are 2/d wired and 1 free. So at every r, on an edge-transitive
+    D-regular family, star(e, r) <= 2/D <= 1 - diamond(e, r), and on a
+    vertex-transitive one the sums of both over the edges at the origin
+    bracket 2. Both sides get the contract's slack of 10 tol: the ladder's
+    free sum reads 2 - 4.4e-16 at r = 1000."""
+    fam = make_family(name)
+    nbrs = fam.neighbors(fam.origin)
+    edges = ([OrientedEdge(fam.origin, v) for v in nbrs] if at_vertex
+             else [origin_edge(fam)])
+    scores = [_edge_scores(fam, e, r) for e in edges]
+    limit = 2.0 if at_vertex else 2.0 / len(nbrs)
+    wired = math.fsum(s.star for s in scores)
+    free = math.fsum(1.0 - s.diamond for s in scores)
+    slack = 10 * 1e-10
+    assert wired <= limit + slack and limit - slack <= free, (wired, free)

@@ -254,10 +254,9 @@ def test_pcg_is_bitwise_the_allocating_loop(mode, monkeypatch):
     temporary of its own beside z and np.linalg.norm; the balls of
     constant ambient degree and the 4-cycle take the one-element degree.
     The reference keeps the bincount apply on every iteration, and runs its
-    dots on the solver's one BLAS thread. The loop
-    applies `table_apply` where it would (z2 r=48 and z3 r=16), and again on
-    every window whose tables fit, with tables from windows of one vertex
-    on."""
+    dots on the solver's one BLAS thread. The loop applies `table_apply`
+    where it would (z2 r=48 and z3 r=16), and again on every window whose
+    tables fit, with tables from windows of one vertex on."""
     for name, w, rhs in _pcg_cases():
         with solver._one_blas_thread():
             x, iterations, relres = _reference_pcg(w, rhs, mode)
