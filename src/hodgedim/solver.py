@@ -94,7 +94,7 @@ _TABLE_MIN_VERTICES = 4096
 def _openblas_thread_calls():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
     on a build without that library or its symbols. Imports ctypes, so it
-    runs on the first solve that needs it and not at import."""
+    runs on the first solve and not at import."""
     import ctypes
     import glob
     import os
@@ -114,7 +114,7 @@ def _one_blas_thread():
     caller's count. A dot that OpenBLAS splits across threads rounds
     differently: with the pin, the solve's bits do not depend on the thread
     count. The count is process-wide: the package starts no thread, but
-    solves run at once on a caller's threads can leave its count at 1.
+    solves run at once on a caller's threads can leave the count at 1.
     Where numpy's BLAS has no such call, the block runs as it is."""
     calls = _openblas_thread_calls()
     if calls is None:
