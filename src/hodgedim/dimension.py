@@ -38,7 +38,7 @@ from typing import Sequence, Tuple
 from .errors import InvalidWindowError, SolverFailureError
 from .families import GraphFamily, VertexId
 from .solver import LaplacianMode, cycle_rank, project_star
-from .windows import FiniteWindow, OrientedEdge, ball, family_edge, sigma
+from .windows import FiniteWindow, OrientedEdge, ball, family_edge
 
 
 class Subspace(Enum):
@@ -251,7 +251,7 @@ def lemma3_check(family: GraphFamily, window: FiniteWindow, r: int,
     """
     lhs = (dim_window(family, window, Subspace.STAR, r, tol)
            + dim_window(family, window, Subspace.DIAMOND, r, tol))
-    rhs = 1.0 - len(sigma(window)) / window.n_edges
+    rhs = 1.0 - int(window.boundary.sum()) / window.n_edges
     return Lemma3Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack)
 
 
@@ -286,5 +286,5 @@ def corollary4_table(family: GraphFamily, center: VertexId,
         est = dim_window(family, w, Subspace.HD, r, tol)
         rows.append(Cor4Row(window_radius=wr, score_radius=r,
                             hd_dim_estimate=est,
-                            sigma_over_e=len(sigma(w)) / w.n_edges))
+                            sigma_over_e=int(w.boundary.sum()) / w.n_edges))
     return rows

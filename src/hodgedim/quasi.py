@@ -35,7 +35,8 @@ import numpy as np
 
 from .dimension import _radius_schedule
 from .edgespace import (EdgeFunction, VertexFunction, chi, differential,
-                        inner, support_vertices, transfer_edge_function)
+                        energy, inner, support_vertices,
+                        transfer_edge_function)
 from .errors import (CutoffExceededError, IncompatibleDomainError,
                      InsufficientWindowError, InvalidWindowError)
 from .families import GraphFamily, VertexId, _tree_ball_bound, make_family
@@ -345,7 +346,7 @@ def lemma6_check(f: QuasiMap, v: VertexFunction, window: FiniteWindow,
     idx = tw.index
     diffs = [v.values[idx[f(x)]] - v.values[idx[x]] for x in window.vertices]
     diff_sq = math.fsum(d * d for d in diffs)
-    e = inner(differential(v), differential(v))
+    e = energy(v)
     bound = lemma6_constant(s, f.source.degree_bound)
     if e > 0.0:
         ratio = diff_sq / e

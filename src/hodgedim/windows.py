@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
@@ -56,18 +57,23 @@ class FiniteWindow:
     checks arrays from outside the package (window JSON, library callers)
     in full; the builders behind `ball` make valid windows and pass False.
 
-    Attributes:
+    Attributes, set in `__init__` but for four cached properties, each
+    built on first read and kept: `index`, `labels`, `internal_degree`
+    and a tree window's `vertices`.
         vertices         tuple of vertex ids, sorted; a tree window from
                          `_tree_window` holds its words as `_TreeWords` keys
-                         and builds the tuples on first use
-        labels           `encode_vertex` of each vertex, built on first use
+                         and builds the tuples on first read
+        n_vertices       int
+        n_edges          int
+        index            dict, vertex -> index
+        labels           `encode_vertex` of each vertex
         edge_tails       int64 array, tail index of each canonical edge
         edge_heads       int64 array, head index (always > tail index)
         full_degree      int64 array, ambient degree per vertex; on a window
                          of one ambient degree built by a kernel, a
                          read-only view of one value with stride 0
-        internal_degree  int64 array, window edges at each vertex, counted
-                         on first use: an EMBEDDED solve never reads it
+        internal_degree  int64 array, window edges at each vertex; an
+                         EMBEDDED solve never reads it
         boundary         bool array, True where some ambient neighbor is
                          outside
     """
@@ -75,12 +81,11 @@ class FiniteWindow:
     def __init__(self, vertices, edge_tails, edge_heads, full_degree,
                  check: bool = True):
         if isinstance(vertices, _TreeWords):
-            self._words, self._vertices = vertices, None
-            n = len(vertices)
+            self._words = vertices
         else:
-            self._words, self._vertices = None, tuple(vertices)
-            n = len(self._vertices)
-        self._n_vertices = n
+            self._words = None
+            self.vertices = vertices = tuple(vertices)
+        self.n_vertices = n = len(vertices)
         given = [np.asarray(a) for a in (edge_tails, edge_heads, full_degree)]
         try:  # uint64 and float arrays cast past int64 with no error
             if any(a.dtype.kind in "uf" and a.size and not (
@@ -91,9 +96,10 @@ class FiniteWindow:
                 a.astype(np.int64, copy=False) for a in given)
         except OverflowError:  # Python ints past int64 raise here too
             raise InvalidWindowError("edge index or degree past int64")
+        self.n_edges = int(self.edge_tails.size)
         if n == 0:
             raise InvalidWindowError("window has no vertices")
-        if self.edge_tails.size == 0:
+        if self.n_edges == 0:
             raise InvalidWindowError("window has no edges")
         if self.full_degree.shape != (n,):
             raise InvalidWindowError("full_degree has wrong length")
@@ -101,9 +107,6 @@ class FiniteWindow:
             self._validate({a.dtype.kind for a in given})
         deg = self._count_degrees()
         self.boundary = deg < self.full_degree
-        self._internal_degree = None
-        self._index = None
-        self._labels = None
         if check and np.any(deg > self.full_degree):
             raise InvalidWindowError("internal degree exceeds ambient degree")
         if check and not self._connected():
@@ -111,25 +114,15 @@ class FiniteWindow:
 
     # -- basic views -------------------------------------------------------
 
-    @property
+    @cached_property
     def vertices(self) -> tuple:
-        if self._vertices is None:
-            self._vertices = self._words.tuples()
-        return self._vertices
+        # reached only on a tree window: `__init__` sets the tuple of any
+        # other as an instance attribute, which shadows this
+        return self._words.tuples()
 
-    @property
-    def n_vertices(self) -> int:
-        return self._n_vertices
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.edge_tails.size)
-
-    @property
+    @cached_property
     def internal_degree(self) -> np.ndarray:
-        if self._internal_degree is None:
-            self._internal_degree = self._count_degrees()
-        return self._internal_degree
+        return self._count_degrees()
 
     def _count_degrees(self) -> np.ndarray:
         n = self.n_vertices
@@ -137,21 +130,17 @@ class FiniteWindow:
         deg += np.bincount(self.edge_heads, minlength=n)
         return deg
 
-    @property
+    @cached_property
     def index(self) -> dict:
-        """Vertex -> index, built on first use, for loops over many
-        vertices; single lookups bisect (`bisect_index`) instead."""
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self.vertices)}
-        return self._index
+        """Vertex -> index, for loops over many vertices; single lookups
+        bisect (`bisect_index`) instead."""
+        return {x: i for i, x in enumerate(self.vertices)}
 
-    @property
+    @cached_property
     def labels(self) -> list:
         """The CSV label of each vertex, in vertex order. Built once, so
         reading and writing a window's CSV encode each vertex once."""
-        if self._labels is None:
-            self._labels = list(map(encode_vertex, self.vertices))
-        return self._labels
+        return list(map(encode_vertex, self.vertices))
 
     def vertex_index(self, x: VertexId) -> int:
         i = self.bisect_index(x)

@@ -413,7 +413,7 @@ def test_single_lookups_build_no_index(z2):
         small.vertices.index((2, 0))
     moved = transfer_edge_function(u, large)
     assert moved.at(e) == 1.0 and moved.values.sum() == -1.0
-    assert small._index is None and large._index is None
+    assert "index" not in vars(small) and "index" not in vars(large)
 
 
 @pytest.mark.parametrize("name", ["tree3", "tree4"])
@@ -424,7 +424,7 @@ def test_tree_window_lookups(name, built):
     fam = make_family(name)
     e = origin_edge(fam)
     w = edge_ball(fam, e, 6)
-    assert w._vertices is None
+    assert "vertices" not in vars(w)
     tuples = neighborhood(fam, e, 6)
     if built:
         assert w.vertices == tuples
@@ -446,7 +446,7 @@ def test_tree_window_lookups(name, built):
         assert w.bisect_index(x) == bisect_left(tuples, x) == w.vertex_index(x)
         assert tuples[w.vertex_index(x)] == x
     assert w.edge_lookup(e.reversed())[1] == -1
-    assert (w._vertices is None) == (not built)
+    assert ("vertices" not in vars(w)) == (not built)
 
 
 def _multi_source_balls(fam):
@@ -469,7 +469,7 @@ def test_lazy_tree_vertices_match_bfs(name):
     cases = [(e, r, edge_ball(fam, e, r)) for r in range(1, 9)]
     cases += list(_multi_source_balls(fam))
     for sources, r, w in cases:
-        assert w._vertices is None
+        assert "vertices" not in vars(w)
         walk = neighborhood(fam, sources, r)
         assert w.vertices == walk
         assert w.labels == [encode_vertex(x) for x in walk]
@@ -482,9 +482,12 @@ def test_tree_score_path_builds_no_tuples(tree3):
     e = origin_edge(tree3)
     w = edge_ball(tree3, e, 12)
     u = edge_indicator(w, e)
-    for mode in LaplacianMode:
-        project_star(w, u, mode)
-    assert w._vertices is None and w._index is None
+    # an EMBEDDED solve reads the ambient degrees only
+    project_star(w, u, LaplacianMode.EMBEDDED)
+    assert "internal_degree" not in vars(w)
+    project_star(w, u, LaplacianMode.FREE)
+    assert "internal_degree" in vars(w)
+    assert "vertices" not in vars(w) and "index" not in vars(w)
 
 
 def test_same_window_compares_tree_keys(tree3):
@@ -493,7 +496,7 @@ def test_same_window_compares_tree_keys(tree3):
     assert same_window(a, b)
     assert not same_window(a, edge_ball(tree3, e, 4))
     assert not same_window(a, ball(tree3, [(0,), ()], 5))
-    assert a._vertices is None and b._vertices is None
+    assert "vertices" not in vars(a) and "vertices" not in vars(b)
     # keys in another base, or tuples, compare as tuples
     pair = [(), (0,)]
     assert same_window(induced_window(tree3, pair),
