@@ -93,8 +93,9 @@ _TABLE_MIN_VERTICES = 4096
 @cache
 def _openblas_thread_calls():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    on a build without that library or its symbols. Imports ctypes, so it
-    runs on the first solve and not at import."""
+    on a build without that library or its symbols. Runs on the first
+    solve, not at import, which defers the glob and the `dlopen`; numpy
+    has already imported ctypes."""
     import ctypes
     import glob
     import os

@@ -11,10 +11,11 @@ scipy.sparse and solves them by sparse LU, on balls of 10^3 to 10^5
 vertices, which the dense oracle of conftest cannot reach. The second
 samples spanning trees by Wilson's algorithm (random walks, no linear
 algebra) and checks the scores to within 5 binomial standard deviations.
-Only the window itself comes from the package. The third, for the ladder's
-rung, is exact: series and parallel rules in rational arithmetic. The
-fourth needs no solve at all: Rayleigh monotonicity and Foster's theorem
-bracket the scores at every radius.
+Only the window itself comes from the package. The third, for the ladder,
+is exact: series and parallel rules in rational arithmetic for the rung,
+and Gaussian elimination in rationals for any edge. The fourth needs no
+solve at all: Rayleigh monotonicity and Foster's theorem bracket the
+scores at every radius.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pytest
 from hodgedim import (OrientedEdge, edge_ball, make_family, origin_edge,
                       score_report)
 from hodgedim.dimension import _edge_scores
+from test_acceptance import SEED, _random_edge
 
 try:
     import scipy.sparse as sp
@@ -190,6 +192,65 @@ def test_ladder_rung_scores_are_the_exact_resistances():
             assert abs(got - exact) <= 2 * math.ulp(exact), (r, wired, got)
 
 
+def _banded_resistance(window, e: OrientedEdge, wired: bool) -> Fraction:
+    """The exact resistance across e in its ball, by Gaussian elimination
+    in rationals, in vertex order. Wired, L has the ambient degrees on its
+    diagonal, so the exterior is one grounded vertex; free, the window's
+    own degrees, with e's head grounded. Elimination fills in no entry
+    farther from the diagonal than the edges reach, so on a ladder, whose
+    sorted vertices put every neighbour within two places, it costs O(n)
+    rational operations."""
+    n = window.n_vertices
+    a, b = window.vertex_index(e.tail), window.vertex_index(e.head)
+    deg = window.full_degree if wired else window.internal_degree
+    rows = [{i: Fraction(d)} for i, d in enumerate(deg.tolist())]
+    for i, j in zip(window.edge_tails.tolist(), window.edge_heads.tolist()):
+        rows[i][j] = rows[j][i] = Fraction(-1)
+    rhs = [Fraction(0)] * n
+    rhs[a] = Fraction(1)
+    if wired:
+        rhs[b] = Fraction(-1)
+    else:  # x[b] = 0
+        for j in list(rows[b]):
+            del rows[j][b]
+        rows[b] = {b: Fraction(1)}
+    for k in range(n):
+        pivot = rows[k]
+        for i in [j for j in pivot if j > k]:
+            f = rows[i].pop(k) / pivot[k]
+            for j, v in pivot.items():
+                if j > k:
+                    rows[i][j] = rows[i].get(j, 0) - f * v
+            rhs[i] -= f * rhs[k]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = (rhs[k] - sum(v * x[j] for j, v in row.items() if j > k)) / row[k]
+    return x[a] - x[b]
+
+
+def test_ladder_scores_are_the_exact_banded_resistances():
+    """star and 1 - diamond on a rail edge are the exact wired and free
+    resistances of its ball, to 8 ulp (measured at the radii below: star
+    +1, 0, -3, -2, -2, +4 ulp, 1 - diamond 0, 0, 0, -2, -2, 0 ulp). On the
+    rung the elimination gives the recursion's fractions exactly."""
+    fam = make_family("ladder")
+    rung = OrientedEdge((0, 0), (0, 1))
+    for r in (1, 2, 5, 20):
+        w = edge_ball(fam, rung, r)
+        for wired in (True, False):
+            assert (_banded_resistance(w, rung, wired)
+                    == _ladder_rung_resistance(r, wired)), (r, wired)
+    rail = OrientedEdge((0, 0), (1, 0))
+    radii = (1, 2, 5, 20, 80, 300)
+    rep = score_report(fam, rail, radii)
+    for r, star, diamond in zip(radii, rep.star, rep.diamond):
+        w = edge_ball(fam, rail, r)
+        for got, wired in ((star, True), (1.0 - diamond, False)):
+            exact = float(_banded_resistance(w, rail, wired))
+            assert abs(got - exact) <= 8 * math.ulp(exact), (r, wired, got)
+
+
 BRACKET_CASES = {
     "z1-edge-r200": ("z1", 200, False),
     "z2-edge-r128": ("z2", 128, False),
@@ -223,3 +284,27 @@ def test_scores_lie_in_the_rayleigh_foster_brackets(name, r, at_vertex):
     free = math.fsum(1.0 - s.diamond for s in scores)
     slack = 10 * 1e-10
     assert wired <= limit + slack and limit - slack <= free, (wired, free)
+
+
+def test_c07_random_edges_lie_in_the_rayleigh_foster_brackets():
+    """c07's 20 random edges, drawn as c07 draws them, stay inside the
+    per-edge bracket star <= 2/D <= 1 - diamond at each of its radii, with
+    the slack of 10 tol. The ladder and the comb are not edge-transitive,
+    so their draws are made but not checked. Smallest gaps (wired, free):
+    z1 0.029 and 0 (1 - diamond is exactly 1 on z1's path balls), z2
+    8.9e-4 and 1.0e-3, z3 5.6e-5 and 1.2e-4, diag_lattice 3.7e-4 and
+    4.2e-4, tree3 1.7e-6 and 1/3."""
+    rng = np.random.default_rng(SEED + 7)
+    fams = [make_family(n) for n in  # c07's list, in its order
+            ("z2", "z1", "z3", "ladder", "comb", "diag_lattice", "tree3")]
+    slack = 10 * 1e-10
+    for i in range(20):
+        fam = fams[i % len(fams)]
+        e = _random_edge(fam, rng)
+        if fam.name in ("ladder", "comb"):
+            continue
+        limit = 2.0 / len(fam.neighbors(e.tail))
+        rep = score_report(fam, e, (2, 4, 8, 16))
+        for r, star, diamond in zip(rep.radii, rep.star, rep.diamond):
+            assert star <= limit + slack, (fam.name, e, r, star)
+            assert limit - slack <= 1.0 - diamond, (fam.name, e, r, diamond)
