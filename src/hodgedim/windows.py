@@ -57,15 +57,11 @@ class FiniteWindow:
     checks arrays from outside the package (window JSON, library callers)
     in full; the builders behind `ball` make valid windows and pass False.
 
-    Attributes, set in `__init__` but for four cached properties, each
-    built on first read and kept: `index`, `labels`, `internal_degree`
-    and a tree window's `vertices`.
+    Attributes (`index`, `labels`, `internal_degree` and a tree window's
+    `vertices` are cached properties, built on first read and kept):
         vertices         tuple of vertex ids, sorted; a tree window from
                          `_tree_window` holds its words as `_TreeWords` keys
-                         and builds the tuples on first read
-        n_vertices       int
-        n_edges          int
-        index            dict, vertex -> index
+        n_vertices, n_edges  int counts
         labels           `encode_vertex` of each vertex
         edge_tails       int64 array, tail index of each canonical edge
         edge_heads       int64 array, head index (always > tail index)
